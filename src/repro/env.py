@@ -9,7 +9,9 @@ semantics the switches always had:
 ============================ ==============================================
 ``REPRO_NO_KERNEL=1``        disable the integer-coded relational kernel
                              (read when a kernel first attaches to a DCDS)
-``REPRO_NO_VECTOR=1``        disable the columnar numpy backend
+``REPRO_NO_VECTOR=1``        disable the columnar numpy join backend
+                             (the joins only; the µ-calculus engine has
+                             no switch)
 ``REPRO_NO_NUMPY=1``         pretend numpy is not installed (test hook)
 ``REPRO_NO_BATCH=1``         disable the frontier-batch tier (per-frontier
                              grounding falls back to per-state calls)
@@ -56,7 +58,8 @@ def kernel_disabled() -> bool:
 
 
 def vector_disabled() -> bool:
-    """``REPRO_NO_VECTOR``: keep the interpreted kernel joins in charge."""
+    """``REPRO_NO_VECTOR``: keep the interpreted kernel joins in charge
+    (joins only — it does not touch the µ-calculus engine)."""
     return _flag("REPRO_NO_VECTOR")
 
 

@@ -11,7 +11,7 @@ from repro.mucalc.ctl import (
     AF, AG, AG_live, AU, AU_live, AX, EF, EF_live, EG, EU, EX, GuardedShape,
     invariant_body, invariant_shape, reachability_body, reachability_shape)
 from repro.mucalc.engine import (
-    CompiledChecker, CompiledFormula, OnTheFlyVerifier, compile_formula,
+    BitsetChecker, CompiledFormula, OnTheFlyVerifier, compile_formula,
     evaluate_local, recognize_shape, to_pnf)
 from repro.mucalc.parser import parse_mu
 from repro.mucalc.witness import (
@@ -24,8 +24,8 @@ from repro.mucalc.syntax import (
     require_fragment)
 
 __all__ = [
-    "AF", "AG", "AG_live", "AU", "AU_live", "AX", "Box", "Certificate",
-    "CertificateError", "CompiledChecker", "CompiledFormula", "Diamond",
+    "AF", "AG", "AG_live", "AU", "AU_live", "AX", "BitsetChecker", "Box",
+    "Certificate", "CertificateError", "CompiledFormula", "Diamond",
     "EF", "EF_live", "EG", "EU", "EX", "ExtractionOutcome", "Fragment",
     "GuardedShape", "Labeling", "Live", "MAnd", "MExists", "MForall",
     "MNot", "MOr", "ModelChecker", "Mu", "MuFormula", "Nu",

@@ -11,10 +11,11 @@ Two evaluation paths share this one public API:
 * the **compiled path** (default) delegates to
   :mod:`repro.mucalc.engine` — the formula is compiled once per
   ``(checker, formula)`` pair into positive normal form with fixpoint
-  cells, then evaluated with predecessor-index modalities, lazy
-  LIVE-restricted quantifiers, cross-iteration memoization, and
-  Emerson–Lei warm-started fixpoints; ``last_checking_stats`` reports the
-  iteration/reset/memo counters of the most recent run;
+  cells, then evaluated over state bitmasks with leaf tables built in one
+  pass over the states, predecessor-mask modalities, lazy LIVE-restricted
+  quantifiers, cross-iteration memoization, and Emerson–Lei warm-started
+  fixpoints; ``last_checking_stats`` reports the iteration/reset/memo and
+  leaf-table counters of the most recent run;
 * the **reference path** (``compiled=False``) is the seed-era recursive
   evaluator, kept verbatim (modulo lazy quantifier enumeration) as the
   semantic baseline the parity tests pin the compiled path against.
@@ -29,16 +30,15 @@ finite-domain semantics of µL.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Set
 
 from repro.errors import VerificationError
 from repro.fol.evaluation import holds
 from repro.mucalc.ast import (
     Box, Diamond, Live, MAnd, MExists, MForall, MNot, MOr, Mu, MuFormula,
     Nu, PredVar, QF)
-from repro.mucalc.engine.bitset import BitsetChecker, bitset_enabled
+from repro.mucalc.engine.bitset import BitsetChecker
 from repro.mucalc.engine.compiler import compile_formula
-from repro.mucalc.engine.evaluator import CompiledChecker
 from repro.mucalc.syntax import check_monotone
 from repro.relational.values import Var, is_value
 from repro.semantics.transition_system import State, TransitionSystem
@@ -57,39 +57,43 @@ class ModelChecker:
         self.ts = ts
         self.states: FrozenSet[State] = ts.states
         self.compiled = compiled
-        self._domain = frozenset(ts.values()) | frozenset(extra_domain)
-        self._adom_cache: Dict[State, FrozenSet[Any]] = {}
-        # Per-(checker, formula) caches: monotonicity verdicts, quantifier
-        # domains, and compiled engines — all were recomputed on every
+        self._extra = frozenset(extra_domain)
+        self._values: Optional[FrozenSet[Any]] = None
+        # Per-(checker, formula) caches: monotonicity verdicts, formula
+        # constants, and compiled engines — all were recomputed on every
         # ``evaluate`` call by the seed checker, even inside fixpoint
         # iteration via the PROP()-style helpers.
         self._monotone_ok: Set[MuFormula] = set()
-        self._domain_cache: Dict[MuFormula, FrozenSet[Any]] = {}
-        self._engines: Dict[Tuple[MuFormula, type], CompiledChecker] = {}
+        self._constants_cache: Dict[MuFormula, FrozenSet[Any]] = {}
+        self._engines: Dict[MuFormula, BitsetChecker] = {}
         #: Counters of the most recent compiled evaluation (iterations,
-        #: resets, peak extension size, memo hits); surfaced by
-        #: ``pipeline.verify`` as ``VerificationReport.checking_stats``.
+        #: resets, peak extension size, memo hits, leaf tables); surfaced
+        #: by ``pipeline.verify`` as ``VerificationReport.checking_stats``.
         self.last_checking_stats: Dict[str, Any] = {}
 
     # -- public API -----------------------------------------------------------
 
     def domain(self, formula: Optional[MuFormula] = None) -> FrozenSet[Any]:
-        """Quantification domain: TS values plus the formula's constants.
+        """Quantification domain: TS values, ``extra_domain``, and the
+        formula's constants. The compiled engine reads the TS values off
+        its LIVE table instead of this union."""
+        if self._values is None:
+            self._values = frozenset(self.ts.values())
+        extra = self._extra if formula is None else self._constants(formula)
+        return self._values | extra
 
-        Memoized per formula — fixpoint iteration and diagnostics evaluate
-        the same formula repeatedly."""
-        if formula is None:
-            return self._domain
-        cached = self._domain_cache.get(formula)
+    def _constants(self, formula: MuFormula) -> FrozenSet[Any]:
+        """The formula's constants plus ``extra_domain`` (memoized)."""
+        cached = self._constants_cache.get(formula)
         if cached is None:
-            found = set(self._domain)
+            found = set(self._extra)
             for node in formula.walk():
                 if isinstance(node, QF):
                     found.update(node.query.constants())
                 elif isinstance(node, Live):
                     found.update(t for t in node.terms if is_value(t))
             cached = frozenset(found)
-            self._domain_cache[formula] = cached
+            self._constants_cache[formula] = cached
         return cached
 
     def evaluate(self, formula: MuFormula,
@@ -99,17 +103,11 @@ class ModelChecker:
         """The extension ``(Phi)^Upsilon_{v,V}`` (Figure 1)."""
         self._ensure_monotone(formula)
         if self.compiled:
-            # Backend choice is re-read per formula: a kill-switch flip
-            # between evaluations gets a fresh engine rather than a stale
-            # cached one (the key carries the backend).
-            backend = BitsetChecker if bitset_enabled() else CompiledChecker
-            key = (formula, backend)
-            engine = self._engines.get(key)
+            engine = self._engines.get(formula)
             if engine is None:
-                engine = backend(
-                    self.ts, compile_formula(formula),
-                    self.domain(formula), adom=self._adom)
-                self._engines[key] = engine
+                engine = BitsetChecker(self.ts, compile_formula(formula),
+                                       self._constants(formula))
+                self._engines[formula] = engine
             result = engine.evaluate(valuation, predicates)
             self.last_checking_stats = engine.last_stats
             return result
@@ -135,17 +133,14 @@ class ModelChecker:
     def holding_states(self, formula: MuFormula) -> FrozenSet[State]:
         return self.evaluate(formula)
 
-    def engine_for(self, formula: MuFormula) -> Optional[CompiledChecker]:
+    def engine_for(self, formula: MuFormula) -> Optional[BitsetChecker]:
         """The cached compiled engine of ``formula``'s last evaluation.
 
         Used by the witness layer to read the converged fixpoint cells
-        (:meth:`CompiledChecker.fixpoint_extension`) without re-evaluating.
+        (:meth:`BitsetChecker.fixpoint_extension`) without re-evaluating.
         ``None`` on the reference path or before the first ``evaluate`` of
-        the formula with the currently selected backend."""
-        if not self.compiled:
-            return None
-        backend = BitsetChecker if bitset_enabled() else CompiledChecker
-        return self._engines.get((formula, backend))
+        the formula."""
+        return self._engines.get(formula) if self.compiled else None
 
     # -- shared plumbing -------------------------------------------------------
 
@@ -153,11 +148,6 @@ class ModelChecker:
         if formula not in self._monotone_ok:
             check_monotone(formula)
             self._monotone_ok.add(formula)
-
-    def _adom(self, state: State) -> FrozenSet[Any]:
-        if state not in self._adom_cache:
-            self._adom_cache[state] = self.ts.db(state).active_domain()
-        return self._adom_cache[state]
 
     # -- reference evaluation (the seed-era recursive path) --------------------
 
@@ -234,7 +224,8 @@ class ModelChecker:
                 values.append(term)
         return frozenset(
             state for state in self.states
-            if all(value in self._adom(state) for value in values))
+            if all(value in self.ts.db(state).active_domain()
+                   for value in values))
 
     def _eval_exists(self, formula: MExists, v: Valuation,
                      V: PredValuation, domain: FrozenSet[Any]

@@ -22,11 +22,11 @@ length ``rank(initial)`` — no shorter certifying run exists, and every
 strict prefix ends in a state of positive rank, which by construction
 satisfies neither terminal condition. Tie-breaks follow
 ``sorted_labeled_edges`` order, making the trace a pure function of the
-transition system — bit-identical across engine backends and worker
-counts whenever the build is.
+transition system — bit-identical across worker counts and build
+paths whenever the build is.
 
 When the offline engine is available, the converged extension of the
-outermost fixpoint cell (:meth:`CompiledChecker.fixpoint_extension`) bounds
+outermost fixpoint cell (:meth:`BitsetChecker.fixpoint_extension`) bounds
 the BFS support: every non-terminal state of a valid run lies inside the
 µ-extension (witness) or outside the ν-extension (violation), so states
 beyond it need not be ranked.

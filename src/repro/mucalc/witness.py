@@ -171,11 +171,11 @@ def extract(ts: TransitionSystem, formula: MuFormula, holds: bool,
             engine=None) -> ExtractionOutcome:
     """Try to certify a verdict; always explains the outcome.
 
-    ``engine`` is an optional :class:`~repro.mucalc.engine.evaluator.
-    CompiledChecker` that already evaluated ``formula`` over ``ts`` (see
+    ``engine`` is an optional :class:`~repro.mucalc.engine.bitset.
+    BitsetChecker` that already evaluated ``formula`` over ``ts`` (see
     :meth:`ModelChecker.engine_for`). It contributes two already-computed
     sets: the converged root fixpoint cell bounds the extraction support,
-    and the body's own extension (:meth:`CompiledChecker.body_extension`,
+    and the body's own extension (:meth:`BitsetChecker.body_extension`,
     a memo read) replaces the state-by-state local scan — the same set,
     since for a state-local body both confine quantifiers to the active
     domain. Correctness never depends on the engine being present.

@@ -87,6 +87,11 @@ class TransitionSystem:
     def states(self) -> FrozenSet[State]:
         return frozenset(self._db)
 
+    def discovery_order(self) -> Tuple[State, ...]:
+        """States in the order they were added (the explorers add them in
+        discovery order, so this is as deterministic as the build)."""
+        return tuple(self._db)
+
     def __len__(self) -> int:
         return len(self._db)
 
@@ -119,7 +124,7 @@ class TransitionSystem:
 
     def out_degree(self, state: State) -> int:
         """Number of *distinct* successor states."""
-        return len(self.sorted_successors(state))
+        return len(self.successors(state))
 
     def edges(self) -> Iterator[Tuple[State, Optional[str], State]]:
         for source, targets in self._edges.items():

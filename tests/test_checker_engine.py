@@ -18,7 +18,7 @@ from repro.mucalc.ast import (
     Box, Diamond, Live, MAnd, MExists, MForall, MNot, MOr, Mu, PredVar,
     Nu, QF)
 from repro.mucalc.engine import (
-    CompiledChecker, box_states, deadlock_states, diamond_states,
+    BitsetChecker, box_states, deadlock_states, diamond_states,
     is_state_local)
 from repro.relational import DatabaseSchema, Instance, fact
 from repro.relational.values import Var

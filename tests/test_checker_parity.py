@@ -224,3 +224,188 @@ class TestParameterParity:
         assert first == second
         reference = ModelChecker(ex41_abstraction, compiled=False)
         assert first == reference.evaluate(formula)
+
+
+# ---------------------------------------------------------------------------
+# Leaf tables: every leaf shape, every valuation, every state
+# ---------------------------------------------------------------------------
+
+from itertools import product
+
+from hypothesis import given, settings, strategies as st
+
+from repro.fol.ast import (
+    And, Atom, Eq, Exists, Forall, Not, Or, TRUE)
+from repro.mucalc import (
+    Fragment, Live, QF, classify, box_live_implies, diamond_live,
+    exists_live, forall_live)
+from repro.mucalc.engine.leaves import tabulable
+from repro.pipeline import verify
+from repro.relational import DatabaseSchema, Instance, fact
+from repro.relational.values import Var
+from repro.semantics import TransitionSystem
+from repro.workloads import random_dcds, warehouse_dcds
+
+lx, ly, lz = Var("x"), Var("y"), Var("z")
+
+
+def leaf_ts():
+    """Four states over R/2 and S/1, one of them empty."""
+    ts = TransitionSystem(DatabaseSchema.of("R/2", "S/1"), "s0",
+                          name="leaves")
+    ts.add_state("s0", Instance([fact("R", "a", "b"), fact("R", "b", "b"),
+                                 fact("S", "a")]))
+    ts.add_state("s1", Instance([fact("R", "b", "a"), fact("S", "b"),
+                                 fact("S", "c")]))
+    ts.add_state("s2", Instance([]))
+    ts.add_state("s3", Instance([fact("R", "c", "c")]))
+    for source, target in (("s0", "s1"), ("s1", "s2"), ("s2", "s3"),
+                           ("s3", "s0")):
+        ts.add_edge(source, target)
+    return ts
+
+
+#: Queries a table answers: atoms, conjunctions, equalities and
+#: existentials whose variables all occur in some atom. 'zzz' occurs in
+#: no state.
+TABLE_LEAVES = [
+    Atom("R", (lx, ly)),
+    Atom("R", (lx, "zzz")),
+    Exists((ly,), And.of(Atom("R", (lx, ly)), Atom("S", (ly,)))),
+    And.of(Atom("R", (lx, ly)), Eq(lx, ly)),
+    And.of(Atom("R", (lx, ly)), Eq(ly, "b")),
+    And.of(Eq(lx, ly), Atom("S", (lx,)), Atom("S", (ly,))),
+    Atom("R", ("a", "b")),
+    Exists((ly,), Atom("R", (ly, ly))),
+    TRUE,
+]
+
+#: Queries whose answers depend on the evaluation domain: the per-state
+#: reference answers them.
+REFERENCE_LEAVES = [
+    Not(Atom("S", (lx,))),
+    And.of(Atom("S", (lx,)), Not(Atom("R", (lx, lx)))),
+    Forall((ly,), Or.of(Atom("R", (lx, ly)), Not(Atom("S", (ly,))))),
+    Or.of(Atom("S", (lx,)), Atom("R", (ly, ly))),
+    Eq(lx, ly),
+    Eq(lx, "zzz"),
+    Exists((lz,), Atom("S", (lx,))),
+    Exists((lz,), TRUE),
+]
+
+
+class TestLeafTables:
+    @pytest.mark.parametrize(
+        "query, tabled",
+        [(query, True) for query in TABLE_LEAVES]
+        + [(query, False) for query in REFERENCE_LEAVES],
+        ids=repr)
+    def test_leaf_mask_matches_reference(self, query, tabled):
+        ts = leaf_ts()
+        assert tabulable(query) == tabled
+        # 'ghost' is in no state's active domain; 'zzz' is a formula
+        # constant that occurs in no state.
+        values = ["a", "b", "c", "ghost", "zzz"]
+        variables = sorted(query.free_variables(), key=lambda v: v.name)
+        compiled = ModelChecker(ts)
+        reference = ModelChecker(ts, compiled=False)
+        for leaf in (QF(query), MNot(QF(query))):
+            for combo in product(values, repeat=len(variables)):
+                valuation = dict(zip(variables, combo))
+                assert compiled.evaluate(leaf, valuation) \
+                    == reference.evaluate(leaf, valuation), \
+                    (leaf, valuation)
+                stats = compiled.last_checking_stats
+                assert (stats["leaf_tables"], stats["leaf_reference"]) \
+                    == ((1, 0) if tabled else (0, 1))
+
+    def test_live_leaves_with_absent_values(self):
+        ts = leaf_ts()
+        compiled = ModelChecker(ts)
+        reference = ModelChecker(ts, compiled=False)
+        for terms in [("a",), ("a", "b"), ("ghost",), (lx, "c")]:
+            for value in ["a", "b", "c", "ghost"]:
+                for leaf in (Live(terms), MNot(Live(terms))):
+                    assert compiled.evaluate(leaf, {lx: value}) \
+                        == reference.evaluate(leaf, {lx: value})
+
+    def test_quantified_leaves_under_a_fixpoint(self):
+        ts = leaf_ts()
+        formulas = [
+            EF(exists_live("x", QF(Exists((ly,), And.of(
+                Atom("R", (lx, ly)), Atom("S", (ly,))))))),
+            AG(forall_live("x", MOr.of(
+                QF(Not(Atom("S", (lx,)))), QF(Atom("R", (lx, lx)))))),
+            parse_mu("E x. E y. (x = y & ~R(x, y))"),
+        ]
+        assert_parity(ts, formulas, extra_domain=("ghost",))
+
+    def test_warehouse_leaves_are_table_backed(self):
+        report = verify(warehouse_dcds(1, payload=4), parse_mu(
+            "nu X. ((A t. live(t) & At(t, 'c4') -> At(t, 'c3')) & [-] X)"))
+        assert report.holds
+        assert report.checking_stats["leaf_tables"] == 2
+        assert report.checking_stats["leaf_reference"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Random µLA/µLP formulas over random DCDS abstractions
+# ---------------------------------------------------------------------------
+
+def draw_formula(data, schema, depth, ivars, pvars):
+    """A random closed-under-context µLA formula: quantifiers are
+    LIVE-guarded, modalities guard their free variables (µLP), and
+    negation only reaches leaves, so fixpoints stay monotone."""
+    kinds = ["query", "live"] + (["pvar"] if pvars else [])
+    if depth > 0:
+        kinds += ["and", "or", "exists", "forall", "diamond", "box", "mu",
+                  "nu", "exists", "forall"]
+    kind = data.draw(st.sampled_from(kinds))
+    # Bound variables twice: leaves should mostly read the quantifiers.
+    terms = list(ivars) * 2 + ["c0", "c1"]
+    if kind == "query":
+        relation = data.draw(st.sampled_from(schema.relations))
+        query = Atom(relation.name, tuple(
+            data.draw(st.sampled_from(terms))
+            for _ in range(relation.arity)))
+        if data.draw(st.booleans()):
+            query = Exists((lz,), And.of(query, Atom(
+                relation.name, (lz,) * relation.arity)))
+        leaf = QF(query)
+        return MNot(leaf) if data.draw(st.booleans()) else leaf
+    if kind == "live":
+        leaf = Live((data.draw(st.sampled_from(terms)),))
+        return MNot(leaf) if data.draw(st.booleans()) else leaf
+    if kind == "pvar":
+        return PredVar(data.draw(st.sampled_from(pvars)))
+
+    def sub(extra_ivars=(), extra_pvars=()):
+        return draw_formula(data, schema, depth - 1,
+                            list(ivars) + list(extra_ivars),
+                            list(pvars) + list(extra_pvars))
+
+    if kind in ("and", "or"):
+        combine = MAnd.of if kind == "and" else MOr.of
+        return combine(sub(), sub())
+    if kind in ("exists", "forall"):
+        var = Var(f"v{len(ivars)}")
+        wrap = exists_live if kind == "exists" else forall_live
+        return wrap((var,), sub(extra_ivars=[var]))
+    if kind == "diamond":
+        return diamond_live(sub())
+    if kind == "box":
+        return box_live_implies(sub())
+    name = f"Z{len(pvars)}"
+    fix = Mu if kind == "mu" else Nu
+    return fix(name, sub(extra_pvars=[name]))
+
+
+@given(st.integers(0, 30), st.data())
+@settings(max_examples=40, deadline=None)
+def test_random_formulas_match_reference(seed, data):
+    dcds = random_dcds(seed, shape="weakly-acyclic")
+    ts = build_det_abstraction(dcds, max_states=30000)
+    formula = draw_formula(data, dcds.schema, 3, [], [])
+    assert classify(formula) is not Fragment.MU_L
+    assert ModelChecker(ts).evaluate(formula) \
+        == ModelChecker(ts, compiled=False).evaluate(formula), formula

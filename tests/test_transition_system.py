@@ -78,6 +78,31 @@ class TestQueries:
         assert "toy" in rendered
         assert "*" in rendered
 
+    def test_discovery_order_follows_insertion(self, ts):
+        ts.add_state("late", Instance.empty())
+        assert ts.discovery_order() == ("s0", "s1", "s2", "late")
+
+    def test_degrees_count_distinct_successors(self, ts):
+        from repro.mucalc.engine import box_states, deadlock_states
+
+        # Three labelled edges into s1 and two into s2: out-degree counts
+        # distinct successor states, not edges.
+        ts.add_edge("s0", "s1", "again")
+        ts.add_edge("s0", "s1", None)
+        ts.add_edge("s0", "s2", "skip")
+        ts.add_edge("s0", "s2", "jump")
+        ts.add_state("dead", Instance.empty())
+        assert ts.edge_count() == 7
+        assert [ts.out_degree(s) for s in ("s0", "s1", "s2", "dead")] \
+            == [2, 1, 1, 0]
+        deadlocks = deadlock_states(ts)
+        assert deadlocks == {"dead"}
+        # s0 reaches s1 and s2 only, so [-]{s1, s2} holds there despite
+        # the duplicate edges; dead satisfies every box vacuously.
+        assert box_states(ts, {"s1", "s2"}, deadlocks) \
+            == {"s0", "s1", "s2", "dead"}
+        assert box_states(ts, {"s1"}, deadlocks) == {"dead"}
+
 
 class TestRelabel:
     def test_relabel(self, ts):

@@ -1,14 +1,14 @@
-"""Differential battery pinning the vector backends to the authoritative
+"""Differential battery pinning the accelerators to the authoritative
 paths.
 
-Two accelerators ride behind kill switches: the columnar join executor
-(:mod:`repro.relational.vector`, numpy, ``REPRO_NO_VECTOR`` /
-``REPRO_NO_NUMPY``) and the bitset fixpoint engine
-(:mod:`repro.mucalc.engine.bitset`, pure Python, ``REPRO_NO_VECTOR``).
-Both are pure accelerators: every observable — query answer sets, whole
-transition systems, checker extensions — must be bit-identical across
-default / ``REPRO_NO_VECTOR=1`` / ``REPRO_NO_NUMPY=1`` /
-``REPRO_NO_KERNEL=1``, seeded so failures reproduce from the
+The columnar join executor (:mod:`repro.relational.vector`, numpy) rides
+behind the ``REPRO_NO_VECTOR`` / ``REPRO_NO_NUMPY`` kill switches; the
+bitset µ-calculus engine (:mod:`repro.mucalc.engine.bitset`, pure Python)
+has no switch and is pinned to the ``compiled=False`` reference checker.
+Every observable — query answer sets, whole transition systems, checker
+extensions — must be bit-identical across default /
+``REPRO_NO_VECTOR=1`` / ``REPRO_NO_NUMPY=1`` / ``REPRO_NO_KERNEL=1`` and
+against the reference, seeded so failures reproduce from the
 parametrization alone.
 """
 
@@ -233,12 +233,12 @@ class TestTransitionSystemParity:
 
 
 # ---------------------------------------------------------------------------
-# Checker parity: bitset vs sets vs reference
+# Checker parity: bitset engine vs reference
 # ---------------------------------------------------------------------------
 
 def graph_ts(n: int, chords: bool) -> TransitionSystem:
     """Ring with optional chords (chords=False gives the long-diameter
-    chain-with-back-edge the bitset backend is built for)."""
+    chain-with-back-edge the bitset engine is built for)."""
     schema = DatabaseSchema.of("P/1", "Q/1")
     ts = TransitionSystem(schema, 0, name=f"graph[{n},{chords}]")
     for i in range(n):
@@ -270,33 +270,32 @@ def checker_formulas():
 class TestCheckerParity:
     @pytest.mark.parametrize("name", sorted(checker_formulas()))
     @pytest.mark.parametrize("chords", [True, False])
-    def test_three_way_extensions(self, name, chords, monkeypatch):
+    def test_bitset_matches_reference(self, name, chords):
         ts = graph_ts(90, chords)
         formula = checker_formulas()[name]
-        monkeypatch.delenv("REPRO_NO_VECTOR", raising=False)
         bitset_ext = ModelChecker(ts).evaluate(formula)
-        monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-        sets_ext = ModelChecker(ts).evaluate(formula)
         reference_ext = ModelChecker(ts, compiled=False).evaluate(formula)
-        assert bitset_ext == sets_ext == reference_ext, (name, chords)
+        assert bitset_ext == reference_ext, (name, chords)
 
-    def test_backend_labels_and_midrun_flip(self, monkeypatch):
+    def test_midrun_vector_flip_keeps_the_engine(self, monkeypatch):
+        # REPRO_NO_VECTOR covers the kernel joins only: flipping it
+        # between evaluations reuses the same bitset engine, and both
+        # answers equal the reference.
         ts = graph_ts(30, chords=True)
         formula = checker_formulas()["EF"]
         checker = ModelChecker(ts)
         monkeypatch.delenv("REPRO_NO_VECTOR", raising=False)
         first = checker.evaluate(formula)
+        engine = checker.engine_for(formula)
         assert checker.last_checking_stats["mode"] == "compiled"
-        assert checker.last_checking_stats["backend"] == "bitset"
-        # Flipping the switch mid-session reroutes the SAME checker: the
-        # engine cache is keyed by backend, so no stale engine answers.
+        assert "backend" not in checker.last_checking_stats
         monkeypatch.setenv("REPRO_NO_VECTOR", "1")
         second = checker.evaluate(formula)
-        assert checker.last_checking_stats["backend"] == "sets"
-        assert first == second
+        assert checker.engine_for(formula) is engine
+        reference = ModelChecker(ts, compiled=False).evaluate(formula)
+        assert first == second == reference
 
-    def test_bitset_respects_predicate_valuation(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_VECTOR", raising=False)
+    def test_bitset_respects_predicate_valuation(self):
         ts = graph_ts(20, chords=True)
         formula = Diamond(PredVar("X"))
         target = frozenset([5, 6])
