@@ -27,7 +27,8 @@ from repro.mucalc.ast import Box, Diamond, MAnd, MOr, Mu, Nu, PredVar, QF
 from repro.semantics import build_det_abstraction
 from repro.semantics.commitments import count_commitments
 from repro.workloads import (
-    chain_dcds, commitment_blowup_dcds, conveyor_dcds, lattice_dcds)
+    chain_dcds, commitment_blowup_dcds, conveyor_dcds, lattice_dcds,
+    warehouse_dcds)
 
 
 class TestAbstractionBlowup:
@@ -136,6 +137,9 @@ GATE_PROBES = {
     "chain[3]": lambda: _timed_build(chain_dcds(3)),
     "conveyor[2]": lambda: _timed_build(conveyor_dcds(2)),
     "lattice[3]": lambda: _timed_build(lattice_dcds(3)),
+    # Wide call-free states: guards the no-call path that skips
+    # commitment enumeration and the state's history set.
+    "warehouse[1]": lambda: _timed_build(warehouse_dcds(1)),
 }
 
 

@@ -125,7 +125,7 @@ def gate_configs():
     from repro.workloads import (
         chain_dcds, commitment_blowup_dcds, conveyor_dcds, lattice_dcds)
 
-    # Mirrors bench_complexity_scaling.GATE_PROBES: the configurations
+    # The narrow configurations of bench_complexity_scaling.GATE_PROBES,
     # whose sequential build time the hot-path gate guards.
     return {
         "abstraction-blowup[3]": lambda: commitment_blowup_dcds(3),

@@ -27,7 +27,7 @@ from typing import (
 from repro import env
 from repro.core.dcds import DCDS
 from repro.core.execution import (
-    _sigma_items, do_action, enabled_moves, evaluate_calls)
+    _sigma_items, calls_of, do_action, enabled_moves, evaluate_calls)
 from repro.engine.explorer import ExplorationBudgetExceeded, SuccessorGenerator
 from repro.relational import vector
 from repro.relational.instance import Instance
@@ -83,7 +83,8 @@ class DetState:
     def known_values(self) -> FrozenSet[Any]:
         """Every value this state has ever seen: current adom, call results,
         and call arguments (the history, Section 4.1). Cached — states are
-        immutable and the set keys the commitment enumeration."""
+        immutable. The abstraction reads it only for steps that issue fresh
+        service calls, as the values a commitment may equate them with."""
         if self._known is None:
             values = set(self.instance.active_domain())
             for call, result in self.call_map:
@@ -240,18 +241,21 @@ class DetAbstractionGenerator(SuccessorGenerator):
         dcds = self.dcds
         instance = state.instance
         call_map = state.map_dict()
-        known = state.known_values() | self.known_constants
+        # Built on the first step with fresh calls: a call-free step has
+        # only the empty commitment and never reads the state's history.
+        known: Optional[FrozenSet[Any]] = None
 
         for action, sigma in enabled_moves(dcds, instance):
             pending = do_action(dcds, instance, action, sigma)
             calls = pending.service_calls()
             resolved = {call: call_map[call]
                         for call in calls if call in call_map}
-            new_calls = sorted(
-                (call for call in calls if call not in call_map), key=repr)
+            new_calls = [call for call in calls if call not in call_map]
+            if new_calls and known is None:
+                known = state.known_values() | self.known_constants
             label = sigma_label(action.name, sigma)
 
-            for commitment in enumerate_commitments(new_calls, known):
+            for commitment in enumerate_commitments(new_calls, known or ()):
                 evaluation = {**resolved, **commitment}
                 successor_instance = evaluate_calls(dcds, pending, evaluation)
                 if successor_instance is None:
@@ -335,11 +339,13 @@ class RcyclGenerator(SuccessorGenerator):
                     f"RCYCL exceeded {self.max_iterations} iterations")
 
             pending = do_action(dcds, instance, action, sigma)
-            calls = sorted(pending.service_calls(), key=repr)
-            candidates = self._candidates(instance, len(calls))
-            evaluation_range = sorted_values(
-                self.initial_adom | self.known_constants
-                | set(instance.active_domain()) | set(candidates))
+            calls = calls_of(pending)
+            evaluation_range: Sequence[Any] = ()
+            if calls:  # a call-free step has the one empty evaluation
+                candidates = self._candidates(instance, len(calls))
+                evaluation_range = sorted_values(
+                    self.initial_adom | self.known_constants
+                    | set(instance.active_domain()) | set(candidates))
 
             label = action.name if not sigma else \
                 f"{action.name}[{sigma_key(sigma)}]"
@@ -388,7 +394,7 @@ class PoolDetGenerator(SuccessorGenerator):
         call_map = state.map_dict()
         for action, sigma in enabled_moves(dcds, state.instance):
             pending = do_action(dcds, state.instance, action, sigma)
-            calls = sorted(pending.service_calls(), key=repr)
+            calls = calls_of(pending)
             resolved = {call: call_map[call] for call in calls
                         if call in call_map}
             new_calls = [call for call in calls if call not in call_map]
@@ -437,7 +443,7 @@ class PoolNondetGenerator(SuccessorGenerator):
         dcds = self.dcds
         for action, sigma in enabled_moves(dcds, instance):
             pending = do_action(dcds, instance, action, sigma)
-            calls = sorted(pending.service_calls(), key=repr)
+            calls = calls_of(pending)
             for combo in product(self.pool, repeat=len(calls)):
                 evaluation = dict(zip(calls, combo))
                 successor = evaluate_calls(dcds, pending, evaluation)
@@ -481,8 +487,7 @@ class OracleRunGenerator(SuccessorGenerator):
         index = 0 if self.chooser is None else self.chooser(moves)
         action, sigma = moves[index]
         pending = do_action(self.dcds, instance, action, sigma)
-        evaluation = {call: self.oracle(call)
-                      for call in sorted(pending.service_calls(), key=repr)}
+        evaluation = {call: self.oracle(call) for call in calls_of(pending)}
         successor = evaluate_calls(self.dcds, pending, evaluation)
         if successor is None:
             return  # constraint-violating evaluation: no such transition

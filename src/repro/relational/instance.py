@@ -14,7 +14,7 @@ from typing import Any, Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple
 from repro.errors import InstanceError
 from repro.relational.schema import DatabaseSchema
 from repro.relational.values import (
-    ServiceCall, is_value, substitute_term, term_service_calls)
+    Param, ServiceCall, Var, is_value, substitute_term, term_service_calls)
 from repro.utils import sorted_values, value_sort_key
 
 
@@ -99,6 +99,8 @@ def _rebuild_instance(facts: Tuple[Fact, ...]) -> "Instance":
 
 
 _EMPTY_TUPLES: FrozenSet[Tuple[Any, ...]] = frozenset()
+#: Term types that are not values (``is_value`` inlined on the adom scan).
+_SYMBOLIC = (Var, Param, ServiceCall)
 
 
 class Instance:
@@ -207,13 +209,14 @@ class Instance:
         """
         if self._adom is None:
             values = set()
+            add = values.add
             for current in self._facts:
                 for term in current.terms:
-                    if isinstance(term, ServiceCall):
+                    if not isinstance(term, _SYMBOLIC):
+                        add(term)
+                    elif isinstance(term, ServiceCall):
                         values.update(
                             arg for arg in term.args if is_value(arg))
-                    elif is_value(term):
-                        values.add(term)
             self._adom = frozenset(values)
         return self._adom
 

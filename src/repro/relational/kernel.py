@@ -897,6 +897,12 @@ class RelationalKernel:
         ``fallback`` computes one effect's facts the reference way when that
         effect could not be compiled; an action object the kernel has never
         indexed returns ``None`` (caller takes the reference path).
+
+        ``CALLS(I)`` of the pending instance is filled from the coded facts
+        (the call codes of its terms), and the coded facts are kept for
+        :meth:`evaluate_calls`, so no step scans the facts' terms for calls.
+        Heads never nest calls (``_head_spec`` refuses them, the reference
+        path through ``is_ground``), so every call is a whole term.
         """
         context = self._actions.get(id(action))
         if context is None:
@@ -912,6 +918,14 @@ class RelationalKernel:
                 facts = fallback(effect)
             produced.update(facts)
         pending = Instance._trusted(frozenset(produced))
+        fact_codes = self._fact_codes
+        entries = tuple(fact_codes.get(fact) or self.encode_fact(fact)
+                        for fact in pending)
+        table = self.table
+        pending._calls = frozenset(
+            table.term(code) for _, codes, has_call in entries if has_call
+            for code in codes if table.is_call(code))
+        self._pending_entries[pending] = entries
         context.by_key[key] = pending
         return pending
 

@@ -36,12 +36,15 @@ def enumerate_commitments(
     distinct fresh representatives. Fresh representatives are minted from the
     smallest :class:`Fresh` indices not already used in ``known_values`` or
     ``used_values``.
+
+    Without calls the only commitment is the empty one, and neither
+    ``known_values`` nor ``used_values`` is read.
     """
-    calls = sorted(set(calls), key=repr)
-    known = sorted_values(set(known_values))
     if not calls:
         yield {}
         return
+    calls = sorted(set(calls), key=repr)
+    known = sorted_values(set(known_values))
 
     occupied = set(known) | set(used_values)
 

@@ -3,9 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.execution import clear_subproblem_caches
+from repro.engine.generators import DetState
+from repro.gallery import example_41
 from repro.relational.values import Fresh, ServiceCall
+from repro.semantics import build_det_abstraction
 from repro.semantics.commitments import (
     count_commitments, enumerate_commitments)
+from repro.workloads import warehouse_dcds
 
 
 def calls(n):
@@ -15,6 +20,14 @@ def calls(n):
 class TestEnumeration:
     def test_no_calls(self):
         assert list(enumerate_commitments([], ["a"])) == [{}]
+
+    def test_no_calls_never_reads_known_values(self):
+        class Untouchable:
+            def __iter__(self):
+                raise AssertionError("known values iterated")
+
+        assert list(enumerate_commitments(
+            [], Untouchable(), Untouchable())) == [{}]
 
     def test_single_call_against_one_known(self):
         result = list(enumerate_commitments(calls(1), ["a"]))
@@ -106,3 +119,31 @@ def test_commitments_are_distinct_and_complete(n_calls, n_known):
         for value in commitment.values():
             if isinstance(value, Fresh):
                 assert value not in known
+
+
+class TestCallFreeSteps:
+    """A step without service calls reads no history (one commitment)."""
+
+    @staticmethod
+    def _count_known_values(monkeypatch) -> list:
+        calls_made = []
+        original = DetState.known_values
+
+        def counting(self):
+            calls_made.append(self)
+            return original(self)
+
+        monkeypatch.setattr(DetState, "known_values", counting)
+        clear_subproblem_caches()  # no replay from a warm successor memo
+        return calls_made
+
+    def test_call_free_build_never_reads_known_values(self, monkeypatch):
+        calls_made = self._count_known_values(monkeypatch)
+        ts = build_det_abstraction(warehouse_dcds(1), 100000)
+        assert len(ts.states) == 25
+        assert calls_made == []
+
+    def test_build_with_calls_reads_known_values(self, monkeypatch):
+        calls_made = self._count_known_values(monkeypatch)
+        build_det_abstraction(example_41(), 100000)
+        assert calls_made

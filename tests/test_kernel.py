@@ -18,6 +18,7 @@ from repro.core import ServiceSemantics
 from repro.core.execution import (
     clear_subproblem_caches, do_action, enabled_moves, evaluate_calls,
     ground_effect, legal_substitutions)
+from repro.engine import DetAbstractionGenerator, Explorer
 from repro.fol.ast import (
     And, Atom, Eq, Exists, Forall, Not, Or, TRUE, exists, forall)
 from repro.fol.compile import CompiledQuery, CompileError
@@ -229,6 +230,72 @@ def _build(dcds):
     if dcds.semantics is ServiceSemantics.DETERMINISTIC:
         return build_det_abstraction(dcds, max_states=20000)
     return rcycl(dcds, max_states=20000)
+
+
+def _recorded_pendings(monkeypatch) -> list:
+    """Record every pending instance the kernel's ``DO`` hands out."""
+    pendings = []
+    original = RelationalKernel.do_action_instance
+
+    def recording(self, *args):
+        pending = original(self, *args)
+        if pending is not None:
+            pendings.append(pending)
+        return pending
+
+    monkeypatch.setattr(RelationalKernel, "do_action_instance", recording)
+    return pendings
+
+
+def _assert_coded_calls(pendings) -> int:
+    """Coded ``CALLS(I)`` equals the fact scan; returns the steps with calls."""
+    assert pendings
+    for pending in pendings:
+        assert pending.service_calls() \
+            == Instance._trusted(pending.facts).service_calls()
+    return sum(1 for pending in pendings if pending.service_calls())
+
+
+@pytest.mark.skipif(bool(os.environ.get("REPRO_NO_KERNEL")),
+                    reason="exercises the kernel itself")
+class TestCodedCallSet:
+    """The kernel fills ``CALLS(I)`` of a pending instance from its codes."""
+
+    @pytest.mark.parametrize("name", sorted(GALLERY))
+    def test_gallery_pendings(self, name, monkeypatch):
+        pendings = _recorded_pendings(monkeypatch)
+        _build(GALLERY[name]())
+        _assert_coded_calls(pendings)
+
+    def test_random_det_pendings(self, monkeypatch):
+        pendings = _recorded_pendings(monkeypatch)
+        for seed in range(3):
+            for shape in ("weakly-acyclic", "gr-acyclic", "free"):
+                dcds = random_dcds(seed, shape=shape)
+                Explorer(dcds.schema, max_states=400, max_depth=4,
+                         on_budget="truncate").run(
+                    DetAbstractionGenerator(dcds))
+        assert _assert_coded_calls(pendings) > 0
+
+    def test_random_nondet_pendings(self, monkeypatch):
+        pendings = _recorded_pendings(monkeypatch)
+        for seed in range(3):
+            for shape in ("weakly-acyclic", "gr-acyclic", "free"):
+                dcds = random_dcds(
+                    seed, shape=shape,
+                    semantics=ServiceSemantics.NONDETERMINISTIC)
+                explore_concrete(dcds, ["c0", "c1"], depth=3,
+                                 max_states=3000)
+        assert _assert_coded_calls(pendings) > 0
+
+    def test_pending_codes_kept_for_evaluate_calls(self):
+        dcds = example_41()
+        kernel = kernel_for(dcds)
+        moves = list(enabled_moves(dcds, dcds.initial))
+        assert moves
+        for action, sigma in moves:
+            pending = do_action(dcds, dcds.initial, action, sigma)
+            assert pending in kernel._pending_entries
 
 
 @pytest.mark.skipif(bool(os.environ.get("REPRO_NO_KERNEL")),
