@@ -51,7 +51,7 @@ OVERHEAD_TARGET = 0.10
 #: meaningful budget; those configs are still measured and reported.
 MIN_GATE_SEC = 0.1
 
-#: One spec per recovery path in ``ParallelExplorer._recover``.
+#: One spec per recovery path in ``parallel._PoolExpander._recover``.
 FAULT_SCENARIOS = {
     "kill": "kill:0@2",
     "double-kill": "kill:0@1,kill:1@1",

@@ -24,8 +24,8 @@ from repro.engine.generators import (
     PoolNondetGenerator, RcyclGenerator, sigma_label, sorted_call_map)
 from repro.engine.interning import InternEntry, InternStats, StateInterner
 from repro.engine.store import (
-    BudgetedDict, MemoryBudget, PagedStore, RamStore, StateCodec,
-    StateStore, StoredTransitionSystem, resolve_memory_budget)
+    BudgetedDict, MemoryBudget, PagedStore, StateCodec,
+    StoredTransitionSystem, resolve_memory_budget)
 from repro.engine.symmetry import (
     SYMMETRY_MODES, SymmetryReducer, resolve_symmetry)
 
@@ -35,9 +35,9 @@ __all__ = [
     "ExplorationBudgetExceeded", "ExplorationResult", "ExplorationStats",
     "Explorer", "FaultEvent", "FaultPlan", "InternEntry", "InternStats",
     "MemoryBudget", "OracleRunGenerator", "PagedStore", "ParallelExplorer",
-    "PoolDetGenerator", "PoolNondetGenerator", "RamStore",
-    "RcyclGenerator", "SYMMETRY_MODES", "StateCodec", "StateInterner",
-    "StateStore", "StoredTransitionSystem", "SymmetryReducer", "WireCodec",
+    "PoolDetGenerator", "PoolNondetGenerator", "RcyclGenerator",
+    "SYMMETRY_MODES", "StateCodec", "StateInterner",
+    "StoredTransitionSystem", "SymmetryReducer", "WireCodec",
     "WireSession", "default_workers", "fingerprints_may_be_isomorphic",
     "instance_fingerprint", "load_checkpoint", "make_codec",
     "make_explorer", "resolve_memory_budget", "resolve_symmetry",

@@ -436,10 +436,27 @@ def load_checkpoint(config: Checkpoint, generator, explorer
         raise CheckpointError(
             f"unreadable checkpoint manifest "
             f"{config.manifest_path}: {error}") from error
+    if not isinstance(manifest, dict):
+        raise CheckpointError(
+            f"checkpoint manifest {config.manifest_path} is not a JSON "
+            f"object")
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint format version {manifest.get('version')} is not "
             f"supported (expected {CHECKPOINT_VERSION})")
+    for key in ("data_bytes", "chunks"):
+        value = manifest.get(key)
+        if type(value) is not int or value < 0:
+            raise CheckpointError(
+                f"checkpoint manifest field {key!r} must be an integer "
+                f">= 0, got {value!r}")
+    # A resumed writer truncates the data file to ``data_bytes``: a
+    # manifest claiming more than the file holds would grow it instead.
+    if manifest["data_bytes"] > os.path.getsize(config.path):
+        raise CheckpointError(
+            f"checkpoint manifest claims {manifest['data_bytes']} data "
+            f"bytes but {config.path} holds "
+            f"{os.path.getsize(config.path)}")
 
     with open(config.path, "rb") as handle:
         remaining = manifest["data_bytes"]

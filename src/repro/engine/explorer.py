@@ -174,6 +174,54 @@ class ExplorationResult:
         return self.stats.diverged
 
 
+class _Batch:
+    """One frontier block of :meth:`Explorer._run_blocks`, pop to apply.
+
+    ``entries`` are popped ``(key, depth, expand)`` triples, keyed like
+    the frontier (live states, or state ids in store mode);
+    ``expandable`` the live states to expand; ``results`` their successor
+    lists. ``link``/``parents``/``retries`` are the pool expander's
+    dispatch record (worker, session context, redispatch count).
+    """
+
+    __slots__ = ("entries", "expandable", "results", "link", "parents",
+                 "retries")
+
+    def __init__(self, entries: List[Tuple[Any, int, bool]],
+                 expandable: List[State]):
+        self.entries = entries
+        self.expandable = expandable
+        self.results: Optional[list] = None
+        self.link = None
+        self.parents = None
+        self.retries = 0
+
+
+class LocalExpander:
+    """The block loop's in-process expander: ``successors_batch`` at
+    submit time (one warmed columnar pass for kernel-backed generators).
+
+    The expander protocol: ``submit(batch)``, ``collect(batch)`` (the
+    successor lists), ``applied(seconds, discarded)`` (apply time and
+    expandable entries dropped on a stop, per batch) and ``close()``.
+    """
+
+    def __init__(self, generator: SuccessorGenerator):
+        self.generator = generator
+
+    def submit(self, batch: _Batch) -> None:
+        batch.results = self.generator.successors_batch(batch.expandable)
+
+    def collect(self, batch: _Batch) -> list:
+        return batch.results
+
+    def applied(self, seconds: float, discarded: int) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
 BudgetError = Callable[["Explorer"], Exception]
 
 
@@ -460,12 +508,13 @@ class Explorer:
 
         The single place interning, edge insertion, growth accounting, the
         observer hook, and the state budget happen — shared by the
-        sequential loop and the :class:`~repro.engine.parallel
-        .ParallelExplorer` coordinator so the two cannot drift apart (the
-        parallel determinism contract is enforced by construction here).
-        ``pending`` is the number of popped-but-unapplied work items beyond
-        this one (always 0 sequentially); adding it makes
-        ``frontier_peak`` reflect the sequential frontier length.
+        per-state loop and the block loop (:meth:`_run_blocks`, also the
+        :class:`~repro.engine.parallel.ParallelExplorer` coordinator) so
+        the two cannot drift apart (the parallel determinism contract is
+        enforced by construction here). ``pending`` is the number of
+        popped-but-unapplied work items beyond this one (always 0 in the
+        per-state loop); adding it makes ``frontier_peak`` reflect the
+        sequential frontier length.
 
         ``sid`` is the source's dense state id in store mode (``None``
         otherwise): interning then goes through the paged store and edges/
@@ -550,7 +599,8 @@ class Explorer:
         if self.strategy == "bfs" \
                 and getattr(generator, "parallel_safe", False) \
                 and not env.batch_disabled():
-            return self._run_batched(generator)
+            return self._run_blocks(
+                generator, LocalExpander(generator), BATCH_BLOCK, 1)
         try:
             started = time.perf_counter()
             ts, frontier = self._start(generator)
@@ -604,24 +654,25 @@ class Explorer:
                 f"{self.checkpoint.manifest_path}; nothing to resume")
         return self.run(generator)
 
-    def _run_batched(self, generator: SuccessorGenerator
-                     ) -> ExplorationResult:
-        """The frontier-batched twin of the sequential BFS loop.
+    # -- the block loop -------------------------------------------------------
 
-        Pops whole frontier blocks, expands them through
-        :meth:`SuccessorGenerator.successors_batch` (one warmed columnar
-        pass for kernel-backed generators), then applies the blocks'
-        successor lists strictly in pop order through the same
-        :meth:`_apply_successors` as the sequential loop — the
-        ParallelExplorer apply contract, so interning, edges, growth,
-        observer, and budget behaviour stay bit-identical. Expansion-
-        worthiness is decided at pop time but ``max_depth`` truncation is
-        marked (and ``expansions`` counted) at apply time; on a budget hit
-        or observer early-stop the block's unapplied tail is re-queued so
-        the epilogue marks it truncated exactly as it would the sequential
-        frontier. Only pure (``parallel_safe``) generators take this path
-        — expansion must be a function of the state alone for the
-        block-ahead generation to commute with application.
+    def _run_blocks(self, generator: SuccessorGenerator, expander,
+                    block: int, window: int) -> ExplorationResult:
+        """BFS in frontier blocks, beside :meth:`run`'s per-state loop.
+
+        Pops up to ``block`` entries per batch and keeps up to ``window``
+        batches submitted to ``expander`` (:class:`LocalExpander`, or the
+        worker pool of :class:`~repro.engine.parallel.ParallelExplorer`).
+        Batches are applied strictly in pop order through
+        :meth:`_apply_successors`, with ``pending`` counting every
+        popped-but-unapplied entry, so interning, edges, growth, observer
+        and budget behaviour replay the per-state loop verbatim. The
+        ``max_depth`` cut is decided at pop time but marked (and
+        ``expansions`` counted) at apply time. On a budget hit or early
+        stop every unapplied entry returns to the frontier front in pop
+        order, so the epilogue marks it truncated as the per-state loop
+        would. Only pure (``parallel_safe``) generators qualify: expanding
+        ahead must commute with applying.
         """
         try:
             started = time.perf_counter()
@@ -630,42 +681,69 @@ class Explorer:
                 return self._restored_result
             stats = self.stats
             budget_hit = False
-
-            while frontier and stats.early_stop is None and not budget_hit:
-                self._note_store_frontier(frontier)
-                block: List[Tuple[State, int, bool, Optional[int]]] = []
-                while frontier and len(block) < BATCH_BLOCK:
-                    entry = frontier.popleft()
-                    state, depth, sid = self._entry_state(entry)
-                    expand = self.max_depth is None \
-                        or depth < self.max_depth
-                    block.append((state, depth, expand, sid))
-                results = deque(generator.successors_batch(
-                    [state for state, _, expand, _ in block if expand]))
-                for position, (state, depth, expand, sid) in enumerate(
-                        block):
-                    if not expand:
-                        if sid is not None:
-                            ts.mark_truncated_id(sid)
-                        else:
-                            ts.mark_truncated(state)
-                        continue
-                    stats.expansions += 1
-                    budget_hit = self._apply_successors(
-                        generator, ts, frontier, state, depth,
-                        results.popleft(),
-                        pending=len(block) - 1 - position, sid=sid)
-                    if budget_hit or stats.early_stop is not None:
-                        tail = [(sid if sid is not None else state, depth)
-                                for state, depth, _, sid
-                                in block[position + 1:]]
-                        frontier.extendleft(reversed(tail))
-                        break
-                if self._ckpt_writer is not None and not budget_hit \
+            in_flight: "deque[_Batch]" = deque()
+            pending = 0
+            try:
+                while (frontier or in_flight) and not budget_hit \
                         and stats.early_stop is None:
-                    self._ckpt_writer.maybe_write(
-                        ts, frontier, stats, self._ckpt_edges)
+                    self._note_store_frontier(frontier)
+                    while frontier and len(in_flight) < window:
+                        entries: List[Tuple[Any, int, bool]] = []
+                        expandable: List[State] = []
+                        while frontier and len(entries) < block:
+                            entry = frontier.popleft()
+                            state, depth, _ = self._entry_state(entry)
+                            expand = self.max_depth is None \
+                                or depth < self.max_depth
+                            entries.append((entry[0], depth, expand))
+                            if expand:
+                                expandable.append(state)
+                        batch = _Batch(entries, expandable)
+                        expander.submit(batch)
+                        in_flight.append(batch)
+                        pending += len(entries)
 
+                    batch = in_flight.popleft()
+                    results = iter(expander.collect(batch))
+                    apply_started = time.perf_counter()
+                    states = iter(batch.expandable)
+                    unapplied: List[Tuple[Any, int, bool]] = []
+                    for position, (key, depth, expand) in enumerate(
+                            batch.entries):
+                        pending -= 1
+                        if not expand:
+                            self._mark_entry_truncated(ts, (key, depth))
+                            continue
+                        stats.expansions += 1
+                        budget_hit = self._apply_successors(
+                            generator, ts, frontier, next(states), depth,
+                            next(results), pending=pending,
+                            sid=key if self._store is not None else None)
+                        if budget_hit or stats.early_stop is not None:
+                            unapplied = batch.entries[position + 1:]
+                            break
+                    stopped = budget_hit or stats.early_stop is not None
+                    if stopped:
+                        for rest in in_flight:
+                            unapplied.extend(rest.entries)
+                        in_flight.clear()
+                        frontier.extendleft(
+                            (key, depth)
+                            for key, depth, _ in reversed(unapplied))
+                    expander.applied(
+                        time.perf_counter() - apply_started,
+                        sum(1 for _, _, expand in unapplied if expand))
+                    if self._ckpt_writer is not None and not stopped:
+                        # Safe point: all applied sources have complete
+                        # edge sets, and the in-flight entries prepended
+                        # to the frontier are exactly the sequential one.
+                        self._ckpt_writer.maybe_write(
+                            ts, frontier, stats, self._ckpt_edges,
+                            extra_entries=(
+                                (key, depth) for rest in in_flight
+                                for key, depth, _ in rest.entries))
+            finally:
+                expander.close()
             return self._finish(ts, frontier, budget_hit, started)
         finally:
             self._detach_budget()

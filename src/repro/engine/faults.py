@@ -193,7 +193,7 @@ class WorkerFaults:
     The worker loop calls :meth:`before_dispatch` as it receives each
     payload and :meth:`mangle_reply` on each encoded reply; each event
     fires at most once per worker process. Respawned replacement workers
-    never receive a schedule at all (``ParallelExplorer._recover`` passes
+    never receive a schedule at all (``_PoolExpander._recover`` passes
     ``faults=None``) — otherwise ``kill:*@1`` would kill every
     replacement at its first dispatch and recovery could never converge.
     """

@@ -148,7 +148,7 @@ def _memoized_expansion(expansion: Iterator[Successor], memo: dict,
 def warm_frontier_block(generator, key, states: Sequence[State]) -> None:
     """Warm the kernel's grounding memos for a whole frontier block.
 
-    The frontier-batch tier (``Explorer._run_batched`` →
+    The frontier-batch tier (``Explorer._run_blocks`` →
     ``successors_batch``): instead of every frontier state paying its own
     per-plan vector call, the block's distinct instances are stacked into
     one columnar join per compiled plan —

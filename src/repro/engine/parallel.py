@@ -38,9 +38,14 @@ worker is FIFO — the property the wire codec's token protocol
 register states in the same event order and afterwards refer to them by
 small integer tokens instead of re-encoding. Batches are routed to the
 worker that already knows most of their states (affinity), which makes the
-common dispatch a stream of tokens. Generators without a DCDS kernel fall
-back to shipping CRC-framed pickled state/successor lists over the same
-links.
+common dispatch a stream of tokens. The codec needs the generator's DCDS
+kernel, so a run without one (``REPRO_NO_KERNEL``) is never sharded: it
+takes the in-process path of ``workers=1``.
+
+The frontier loop itself is :meth:`Explorer._run_blocks`, shared with the
+in-process batched driver; this module only supplies its pool expander
+(:class:`_PoolExpander`), which submits each popped batch to a worker and
+collects the decoded successor lists when the loop reaches the batch.
 
 The ``fork`` start method is preferred where available (workers inherit the
 warmed kernel interners and ``lru_cache`` memo tables for free) with
@@ -96,15 +101,14 @@ import queue
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.errors import ReproError, WireIntegrityError, WorkerCrashError
 from repro.engine.explorer import (
-    BudgetError, ExplorationResult, Explorer, SuccessorGenerator,
+    BudgetError, ExplorationResult, Explorer, SuccessorGenerator, _Batch,
     _default_budget_error)
 from repro.engine.faults import FaultPlan, WorkerFaults
-from repro.engine.wire import (
-    WireCodec, WireSession, _dumps, _loads, make_codec)
+from repro.engine.wire import WireCodec, WireSession, make_codec
 from repro.relational.instance import Instance
 from repro.relational.kernel import kernel_for
 from repro.relational.schema import DatabaseSchema
@@ -117,24 +121,8 @@ from repro.semantics.transition_system import State
 _POLL_INTERVAL = 0.05
 
 
-def _worker_codec(generator: SuccessorGenerator,
-                  snapshot: Optional[list]) -> Optional[WireCodec]:
-    if snapshot is None:
-        return None
-    kernel = kernel_for(generator.dcds)
-    if kernel is None:
-        return None
-    # Fork: the inherited table *is* the snapshot (replay verifies) — or a
-    # longer table when this worker is a mid-run respawn, in which case
-    # replay checks the prefix. Spawn: the freshly built kernel interned
-    # the deterministic constructor prefix; replay appends the
-    # coordinator's exploration-time codes in order, asserting alignment.
-    kernel.table.replay(snapshot)
-    return WireCodec(kernel, len(snapshot))
-
-
 def _worker_main(conn, generator: SuccessorGenerator,
-                 snapshot: Optional[list], index: int = 0,
+                 snapshot: list, index: int = 0,
                  faults: Optional[WorkerFaults] = None) -> None:
     """Worker loop: receive a batch payload, expand, reply; ``None`` exits.
 
@@ -143,8 +131,14 @@ def _worker_main(conn, generator: SuccessorGenerator,
     schedule (chaos tests only): counted per dispatch before expansion,
     and applied to the encoded reply bytes.
     """
-    codec = _worker_codec(generator, snapshot)
-    session = WireSession(codec, index) if codec is not None else None
+    kernel = kernel_for(generator.dcds)
+    # Fork: the inherited table *is* the snapshot (replay verifies) — or a
+    # longer table when this worker is a mid-run respawn, in which case
+    # replay checks the prefix. Spawn: the freshly built kernel interned
+    # the deterministic constructor prefix; replay appends the
+    # coordinator's exploration-time codes in order, asserting alignment.
+    kernel.table.replay(snapshot)
+    session = WireSession(WireCodec(kernel, len(snapshot)), index)
     while True:
         payload = conn.recv()
         if payload is None:
@@ -152,15 +146,11 @@ def _worker_main(conn, generator: SuccessorGenerator,
         try:
             if faults is not None:
                 faults.before_dispatch()
-            if session is not None:
-                states, parents = session.decode_dispatch(payload)
-                # Batched grounding: the whole dispatch block is warmed in
-                # one columnar pass, like the sequential batch driver.
-                results = generator.successors_batch(states)
-                reply = session.encode_results(parents, results)
-            else:
-                states = _loads(payload, index)
-                reply = _dumps(generator.successors_batch(states))
+            states, parents = session.decode_dispatch(payload)
+            # Batched grounding: the whole dispatch block is warmed in one
+            # columnar pass, like the in-process block driver.
+            results = generator.successors_batch(states)
+            reply = session.encode_results(parents, results)
             if faults is not None:
                 reply = faults.mangle_reply(reply)
                 if reply is None:  # injected message drop
@@ -177,35 +167,6 @@ def _worker_main(conn, generator: SuccessorGenerator,
                     f"{type(error).__name__}: {error}")))
 
 
-class _Batch:
-    """One dispatched frontier block, from pop to apply.
-
-    ``entries`` is the popped ``(key, depth, expand)`` prefix of the
-    sequential frontier, keyed like the frontier itself (live states, or
-    dense state ids in store mode); ``expandable`` the subset shipped to a
-    worker
-    (kept so a lost batch can be re-encoded on any session); ``link`` /
-    ``parents`` the worker currently expanding it and that session's
-    dispatch context (``None`` for all-truncated batches and, for
-    ``parents``, on the pickle path); ``results`` the decoded successor
-    lists, parked here by the link drain until the apply loop reaches
-    this batch; ``retries`` how many times the batch has been
-    redispatched after a link failure.
-    """
-
-    __slots__ = ("entries", "expandable", "link", "parents", "results",
-                 "retries")
-
-    def __init__(self, entries: List[Tuple[State, int, bool]],
-                 expandable: List[State]):
-        self.entries = entries
-        self.expandable = expandable
-        self.link: Optional["_WorkerLink"] = None
-        self.parents = None
-        self.results: Optional[list] = [] if not expandable else None
-        self.retries = 0
-
-
 class _WorkerLink:
     """One dedicated worker process and its coordinator-side session.
 
@@ -214,10 +175,11 @@ class _WorkerLink:
     large reply (pipe buffer full, coordinator not reading yet) and a
     coordinator stuck sending the next large dispatch would deadlock.
     Every worker process is started before any sender thread exists (see
-    ``_start_links``): forking with live threads risks inheriting held
-    locks. (A mid-run respawn *does* fork with sender threads alive; the
-    child only ever touches its own pipe end and imports nothing lazily,
-    so none of the parent's per-link locks can be needed.)
+    ``_PoolExpander._start_links``): forking with live threads risks
+    inheriting held locks. (A mid-run respawn *does* fork with sender
+    threads alive; the child only ever touches its own pipe end and
+    imports nothing lazily, so none of the parent's per-link locks can be
+    needed.)
 
     ``pending`` is the supervision ledger: the link's unanswered batches
     in send order. Replies decode against its head (token alignment), and
@@ -228,7 +190,7 @@ class _WorkerLink:
                  "send_failed", "_outbox", "_sender")
 
     def __init__(self, context, generator: SuccessorGenerator,
-                 snapshot: Optional[list], codec: Optional[WireCodec],
+                 snapshot: list, codec: WireCodec,
                  index: int = 0, faults: Optional[WorkerFaults] = None):
         self.index = index
         self.conn, child_conn = context.Pipe(duplex=True)
@@ -238,8 +200,7 @@ class _WorkerLink:
             daemon=True)
         self.process.start()
         child_conn.close()
-        self.session = WireSession(codec, index) \
-            if codec is not None else None
+        self.session = WireSession(codec, index)
         self.pending: "deque[_Batch]" = deque()
         self.send_failed = threading.Event()
         self._outbox: "queue.Queue" = queue.Queue()
@@ -353,19 +314,6 @@ class _WorkerLink:
             pass
 
 
-def _start_links(context, workers: int, generator: SuccessorGenerator,
-                 snapshot: Optional[list], codec: Optional[WireCodec],
-                 plan: Optional[FaultPlan] = None) -> List[_WorkerLink]:
-    """Fork/spawn every worker first, then start the sender threads."""
-    links = [
-        _WorkerLink(context, generator, snapshot, codec, index,
-                    plan.for_worker(index) if plan is not None else None)
-        for index in range(workers)]
-    for link in links:
-        link.start_sender()
-    return links
-
-
 def make_explorer(schema: DatabaseSchema, workers: Optional[int] = None,
                   batch_size: int = 16, **kwargs: Any) -> Explorer:
     """The one ``workers=``-dispatch point for the builder entry points.
@@ -397,12 +345,13 @@ class ParallelExplorer(Explorer):
 
     workers:
         Pool size (default: :func:`default_workers`). ``workers=1``
-        short-circuits to the shared sequential apply loop in-process —
+        short-circuits to the in-process driver of :class:`Explorer` —
         one worker cannot overlap with the coordinator, so a subprocess
         round trip is pure overhead (measured 0.61–0.91x in PR 4). The
-        run records ``codec="inline"`` with zero IPC bytes; the dispatch
-        machinery itself is pinned by the differential harness at
-        ``workers>=2``.
+        same path serves a generator without a DCDS kernel, which the
+        wire codec needs. Both record ``codec="inline"`` with zero IPC
+        bytes; the dispatch machinery itself is pinned by the
+        differential harness at ``workers>=2``.
     batch_size:
         Work items per dispatched batch. Batches amortize IPC: each round
         trip ships ``batch_size`` states out and their successor lists back.
@@ -510,180 +459,60 @@ class ParallelExplorer(Explorer):
             "recovery_sec": 0.0,
         }
 
-    # -- the sharded frontier loop ------------------------------------------
-
     def run(self, generator: SuccessorGenerator) -> ExplorationResult:
         if not getattr(generator, "parallel_safe", False):
             raise ReproError(
                 f"{type(generator).__name__} is not parallel-safe "
                 f"(order-dependent expansion state); use the sequential "
                 f"Explorer")
-        if self.workers == 1:
+        dcds = getattr(generator, "dcds", None)
+        if self.workers == 1 or dcds is None or kernel_for(dcds) is None:
             # A single worker cannot overlap with the coordinator, so the
-            # pipe round trip is pure overhead: run the shared sequential
-            # apply loop in-process — same interning/edge/growth/observer
+            # pipe round trip is pure overhead; without a kernel there is
+            # no wire codec to ship states with. Either way run the
+            # in-process driver — same interning/edge/growth/observer
             # order by construction — and record an inline transport.
             self.stats.parallel = self._initial_parallel_stats("inline")
             return super().run(generator)
-        started = time.perf_counter()
-        # The budget hooks live on process-wide kernel singletons: detach
-        # on the restored-complete return and on a resume error — the
-        # main loop below detaches in its own finally.
-        try:
-            ts, frontier = self._start(generator)
-        except BaseException:
-            self._detach_budget()
-            raise
-        if self._restored_result is not None:
-            self._detach_budget()
-            return self._restored_result
-        stats = self.stats
-        stats.parallel = self._initial_parallel_stats("pickle")
-        budget_hit = False
+        self.stats.parallel = self._initial_parallel_stats("wire")
+        return self._run_blocks(
+            generator, _PoolExpander(self, generator), self.batch_size,
+            self.max_inflight)
 
-        context = multiprocessing.get_context(self.start_method)
-        links: List[_WorkerLink] = []  # started lazily: an early-stopped
-        # or depth-zero run (e.g. an on-the-fly witness on the initial
-        # state) never pays worker startup.
-        codec = None  # built with the links: its table snapshot is taken
-        # at fork/spawn time, so snapshot codes are shared vocabulary.
-        snapshot = None  # kept for the run: respawned workers replay it.
-        # In-flight batches, oldest first; applied strictly in this order.
-        in_flight: "deque[_Batch]" = deque()
-        inflight_entries = 0  # popped but not yet applied, across batches
-        try:
-            while (frontier or in_flight) and not budget_hit \
-                    and stats.early_stop is None:
-                self._note_store_frontier(frontier)
-                while frontier and len(in_flight) < self.max_inflight:
-                    # Batch entries are keyed like the frontier: live
-                    # states normally, dense state ids in store mode
-                    # (the expandable states are rehydrated here, at
-                    # dispatch time, and shipped as live objects).
-                    entries: List[Tuple[Any, int, bool]] = []
-                    expandable: List[State] = []
-                    while frontier and len(entries) < self.batch_size:
-                        entry = frontier.popleft()
-                        state, depth, sid = self._entry_state(entry)
-                        # The depth cut is decided here (it only needs the
-                        # pop-time depth) but *marked* at apply time, so
-                        # truncation marks land in sequential order.
-                        expand = self.max_depth is None \
-                            or depth < self.max_depth
-                        entries.append(
-                            (sid if sid is not None else state,
-                             depth, expand))
-                        if expand:
-                            expandable.append(state)
-                    batch = _Batch(entries, expandable)
-                    if expandable:
-                        if not links:
-                            codec = make_codec(generator)
-                            snapshot = codec.snapshot() \
-                                if codec is not None else None
-                            if codec is not None:
-                                stats.parallel["codec"] = "wire"
-                            plan = self.faults if self.faults is not None \
-                                else FaultPlan.from_env()
-                            links = _start_links(
-                                context, self.workers, generator,
-                                snapshot, codec, plan)
-                        self._dispatch(batch, self._route(
-                            links, expandable), stats)
-                    in_flight.append(batch)
-                    inflight_entries += len(entries)
-                    stats.parallel["batches"] += 1
 
-                batch = in_flight.popleft()
-                results = batch.results
-                if results is None:
-                    results = self._await_results(
-                        batch, links, context, generator, snapshot,
-                        codec, stats)
-                apply_started = time.perf_counter()
-                results_iter = iter(results)
-                for position, (key, depth, expand) in enumerate(
-                        batch.entries):
-                    inflight_entries -= 1
-                    if not expand:
-                        self._mark_entry_truncated(ts, (key, depth))
-                        continue
-                    successors = next(results_iter)
-                    stats.expansions += 1
-                    # Plain mode: the key *is* the live state. Store mode:
-                    # rehydrate it (normally a hot-LRU hit — the state was
-                    # touched at dispatch time).
-                    state, _, sid = self._entry_state((key, depth))
-                    # ``pending=inflight_entries``: every popped-but-unapplied
-                    # item beyond this one still counts toward what the
-                    # sequential frontier length would be at each append.
-                    budget_hit = self._apply_successors(
-                        generator, ts, frontier, state, depth, successors,
-                        pending=inflight_entries, sid=sid)
-                    if budget_hit or stats.early_stop is not None:
-                        # Re-queue the unapplied tail of this batch so the
-                        # epilogue treats it as frontier (exactly the states
-                        # a sequential run would still have queued). Their
-                        # computed successor lists are discarded unseen.
-                        tail = batch.entries[position + 1:]
-                        inflight_entries -= len(tail)
-                        stats.parallel["speculative_states_discarded"] += \
-                            sum(1 for _, _, expand in tail if expand)
-                        frontier.extendleft(
-                            (state, depth)
-                            for state, depth, _ in reversed(tail))
-                        break
-                stats.parallel["coordinator_apply_sec"] += \
-                    time.perf_counter() - apply_started
-                if self._ckpt_writer is not None and not budget_hit \
-                        and stats.early_stop is None:
-                    # Safe point: all applied sources have complete edge
-                    # sets, and the in-flight entry tails prepended to
-                    # the frontier are exactly the sequential frontier.
-                    self._ckpt_writer.maybe_write(
-                        ts, frontier, stats, self._ckpt_edges,
-                        extra_entries=(
-                            (state, depth) for pending in in_flight
-                            for state, depth, _ in pending.entries))
-                if budget_hit or stats.early_stop is not None:
-                    while in_flight:
-                        tail_batch = in_flight.popleft()
-                        inflight_entries -= len(tail_batch.entries)
-                        stats.parallel["speculative_states_discarded"] += \
-                            sum(1 for _, _, expand in tail_batch.entries
-                                if expand)
-                        frontier.extend(
-                            (state, depth)
-                            for state, depth, _ in tail_batch.entries)
-        finally:
-            for link in links:
-                link.shutdown()
-            self._detach_budget()
+class _PoolExpander:
+    """The block loop's expander for a supervised worker pool.
 
-        return self._finish(ts, frontier, budget_hit, started)
+    ``submit`` routes a batch to a worker and queues its encoded dispatch;
+    ``collect`` drains replies until that batch's successor lists are
+    decoded, recovering failed links in place. The links (and the codec,
+    whose table snapshot is taken at fork/spawn time, so snapshot codes
+    are shared vocabulary) start lazily with the first batch that has
+    anything to expand: an early-stopped or depth-zero run (e.g. an
+    on-the-fly witness on the initial state) never pays worker startup.
+    The pool counters of ``stats.parallel`` are this object's to keep.
+    """
 
-    # -- dispatch / receive / recovery --------------------------------------
+    def __init__(self, explorer: ParallelExplorer,
+                 generator: SuccessorGenerator):
+        self.explorer = explorer
+        self.generator = generator
+        self.stats = explorer.stats.parallel
+        self.context = multiprocessing.get_context(explorer.start_method)
+        self.links: List[_WorkerLink] = []
+        self.codec: Optional[WireCodec] = None
+        self.snapshot: list = []  # kept for the run: respawns replay it
 
-    def _dispatch(self, batch: _Batch, link: _WorkerLink,
-                  stats) -> None:
-        """Encode the batch on the link's session and queue it for send."""
-        if link.session is not None:
-            payload, parents = link.session.encode_dispatch(
-                batch.expandable)
-        else:
-            payload = _dumps(batch.expandable)
-            parents = None
-        batch.link = link
-        batch.parents = parents
-        stats.parallel["ipc_bytes_sent"] += len(payload)
-        stats.parallel["states_shipped"] += len(batch.expandable)
-        link.send(payload)
-        link.pending.append(batch)
+    def submit(self, batch: _Batch) -> None:
+        self.stats["batches"] += 1
+        if not batch.expandable:
+            batch.results = []
+            return
+        if not self.links:
+            self._start_links()
+        self._dispatch(batch, self._route(batch.expandable))
 
-    def _await_results(self, batch: _Batch, links: List[_WorkerLink],
-                       context, generator: SuccessorGenerator,
-                       snapshot: Optional[list],
-                       codec: Optional[WireCodec], stats) -> list:
+    def collect(self, batch: _Batch) -> list:
         """Drain the batch's link until this batch's results are decoded.
 
         Replies are decoded against the head of the link's ``pending``
@@ -694,46 +523,67 @@ class ParallelExplorer(Explorer):
         Link failures recover in place: recycle, redispatch, continue
         waiting on whichever link now owns the batch.
         """
+        stats = self.stats
         while batch.results is None:
             link = batch.link
             head = link.pending[0]
             try:
-                payload = link.receive(self.dispatch_timeout)
-                stats.parallel["ipc_bytes_received"] += len(payload)
+                payload = link.receive(self.explorer.dispatch_timeout)
+                stats["ipc_bytes_received"] += len(payload)
                 decode_started = time.perf_counter()
-                if head.parents is not None:
-                    decoded = link.session.decode_results(
-                        payload, head.parents)
-                else:
-                    decoded = _loads(payload, link.index)
-                stats.parallel["coordinator_decode_sec"] += \
+                decoded = link.session.decode_results(payload, head.parents)
+                stats["coordinator_decode_sec"] += \
                     time.perf_counter() - decode_started
-            except WorkerCrashError as error:
-                self._recover(links, link, error, context, generator,
-                              snapshot, codec, stats)
-                continue
-            except WireIntegrityError as error:
-                stats.parallel["integrity_errors"] += 1
-                self._recover(links, link, error, context, generator,
-                              snapshot, codec, stats)
-                continue
-            except MemoryError as error:
-                # Relayed memory pressure: transient by contract — the
+            except (WorkerCrashError, WireIntegrityError,
+                    MemoryError) as error:
+                # A relayed MemoryError is transient by contract: the
                 # recycle frees the worker's memory and the batch retries
                 # after backoff. (Any other relayed exception is
                 # deterministic and propagates: a sequential run would
                 # raise it on the same state.)
-                self._recover(links, link, error, context, generator,
-                              snapshot, codec, stats)
+                if isinstance(error, WireIntegrityError):
+                    stats["integrity_errors"] += 1
+                self._recover(link, error)
                 continue
             head.results = decoded
             link.pending.popleft()
         return batch.results
 
-    def _recover(self, links: List[_WorkerLink], link: _WorkerLink,
-                 error: BaseException, context,
-                 generator: SuccessorGenerator, snapshot: Optional[list],
-                 codec: Optional[WireCodec], stats) -> None:
+    def applied(self, seconds: float, discarded: int) -> None:
+        self.stats["coordinator_apply_sec"] += seconds
+        self.stats["speculative_states_discarded"] += discarded
+
+    def close(self) -> None:
+        for link in self.links:
+            link.shutdown()
+
+    # -- start / dispatch / recovery ----------------------------------------
+
+    def _start_links(self) -> None:
+        """Fork/spawn every worker first, then start the sender threads."""
+        self.codec = make_codec(self.generator)
+        self.snapshot = self.codec.snapshot()
+        plan = self.explorer.faults if self.explorer.faults is not None \
+            else FaultPlan.from_env()
+        self.links = [
+            _WorkerLink(self.context, self.generator, self.snapshot,
+                        self.codec, index,
+                        plan.for_worker(index) if plan is not None else None)
+            for index in range(self.explorer.workers)]
+        for link in self.links:
+            link.start_sender()
+
+    def _dispatch(self, batch: _Batch, link: _WorkerLink) -> None:
+        """Encode the batch on the link's session and queue it for send."""
+        payload, batch.parents = link.session.encode_dispatch(
+            batch.expandable)
+        batch.link = link
+        self.stats["ipc_bytes_sent"] += len(payload)
+        self.stats["states_shipped"] += len(batch.expandable)
+        link.send(payload)
+        link.pending.append(batch)
+
+    def _recover(self, link: _WorkerLink, error: BaseException) -> None:
         """Recycle a failed link and redispatch everything it owed.
 
         The replacement process replays the run's original codec snapshot
@@ -744,43 +594,43 @@ class ParallelExplorer(Explorer):
         the batch that was actually being expanded when the link failed
         (its collateral queue-mates redispatch for free).
         """
+        stats = self.stats
+        retry_limit = self.explorer.retry_limit
         recovery_started = time.perf_counter()
         lost = list(link.pending)
         link.pending.clear()
         link.shutdown(graceful=False)
         replacement = _WorkerLink(
-            context, generator, snapshot, codec, link.index, None)
+            self.context, self.generator, self.snapshot, self.codec,
+            link.index, None)
         replacement.start_sender()
-        links[link.index] = replacement
-        stats.parallel["crashes"] += 1
-        stats.parallel["respawns"] += 1
+        self.links[link.index] = replacement
+        stats["crashes"] += 1
+        stats["respawns"] += 1
         try:
             if lost:
                 head = lost[0]
                 head.retries += 1
-                if head.retries > self.retry_limit:
+                if head.retries > retry_limit:
                     raise WorkerCrashError(
                         f"batch exhausted its retry budget "
-                        f"({self.retry_limit}) after worker {link.index} "
+                        f"({retry_limit}) after worker {link.index} "
                         f"failed: {error}",
                         worker=link.index, reason="retries-exhausted",
                         exitcode=link.process.exitcode,
                         batches_lost=len(lost)) from error
-                backoff = self.retry_backoff * (2 ** (head.retries - 1))
+                backoff = self.explorer.retry_backoff \
+                    * (2 ** (head.retries - 1))
                 if backoff:
                     time.sleep(backoff)
                 for lost_batch in lost:
                     self._dispatch(
-                        lost_batch,
-                        self._route(links, lost_batch.expandable), stats)
-                    stats.parallel["redispatches"] += 1
+                        lost_batch, self._route(lost_batch.expandable))
+                    stats["redispatches"] += 1
         finally:
-            stats.parallel["recovery_sec"] += \
-                time.perf_counter() - recovery_started
+            stats["recovery_sec"] += time.perf_counter() - recovery_started
 
-    @staticmethod
-    def _route(links: List[_WorkerLink], expandable: List[State]
-               ) -> _WorkerLink:
+    def _route(self, expandable: List[State]) -> _WorkerLink:
         """Pick the worker for a batch: load first, affinity second.
 
         Affinity (a state travels as a token to a worker that already
@@ -790,6 +640,7 @@ class ParallelExplorer(Explorer):
         exploration to one process. Instead the batch goes to the
         highest-affinity link *among the least-loaded ones*.
         """
+        links = self.links
         if len(links) == 1:
             return links[0]
         least = min(len(link.pending) for link in links)
@@ -798,11 +649,8 @@ class ParallelExplorer(Explorer):
         for link in links:
             if len(link.pending) > least:
                 continue
-            if link.session is not None:
-                knows = link.session.knows
-                score = sum(1 for state in expandable if knows(state))
-            else:
-                score = 0
+            knows = link.session.knows
+            score = sum(1 for state in expandable if knows(state))
             if score > best_score:
                 best = link
                 best_score = score

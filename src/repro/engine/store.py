@@ -511,61 +511,10 @@ class StateCodec(WireCodec):
 
 
 # ---------------------------------------------------------------------------
-# State stores
+# The paged state store
 # ---------------------------------------------------------------------------
 
-class StateStore:
-    """The store interface: dense state ids from discovery order."""
-
-    backend = "abstract"
-
-    def intern(self, state: State) -> Tuple[int, bool]:
-        """``(state id, is_new)``; ids are dense in discovery order."""
-        raise NotImplementedError
-
-    def fetch(self, sid: int) -> State:
-        raise NotImplementedError
-
-    def contains(self, state: State) -> bool:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def stats_dict(self) -> Dict[str, Any]:
-        return {"backend": self.backend, "states": len(self)}
-
-
-class RamStore(StateStore):
-    """The default backend: everything stays a live object (today's
-    behavior — the explorer's plain path is this store, inlined)."""
-
-    backend = "ram"
-
-    def __init__(self) -> None:
-        self._states: List[State] = []
-        self._ids: Dict[State, int] = {}
-
-    def intern(self, state: State) -> Tuple[int, bool]:
-        found = self._ids.get(state)
-        if found is not None:
-            return found, False
-        sid = len(self._states)
-        self._states.append(state)
-        self._ids[state] = sid
-        return sid, True
-
-    def fetch(self, sid: int) -> State:
-        return self._states[sid]
-
-    def contains(self, state: State) -> bool:
-        return state in self._ids
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-
-class PagedStore(StateStore):
+class PagedStore:
     """States as canonical frames in append-only pages + a hot LRU.
 
     Only fingerprints stay unconditionally resident: a 16-byte digest
@@ -864,7 +813,7 @@ class StoredTransitionSystem(TransitionSystem):
     _edges = _lazy_field("_edges_data")
     truncated_states = _lazy_field("_trunc_data")
 
-    def __init__(self, schema, initial: State, store: StateStore,
+    def __init__(self, schema, initial: State, store: PagedStore,
                  name: str = ""):
         self.__dict__["_materialized"] = True  # plain until store set
         TransitionSystem.__init__(self, schema, initial, name=name)

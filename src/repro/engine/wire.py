@@ -29,18 +29,18 @@ This codec ships *integer codes* instead, riding the per-process
 
 The decoded transition system is bit-identical to the sequential build —
 the codec moves *identities*, never semantics. Generators without a DCDS
-kernel fall back to the legacy pickle path in
-:mod:`repro.engine.parallel`.
+kernel have nothing to encode against, so :mod:`repro.engine.parallel`
+never shards them.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.engine import frames
 from repro.engine.frames import (
     FRAME_OVERHEAD, dumps as _dumps, loads as _loads)
 from repro.engine.generators import DetState
+from repro.errors import ReproError
 from repro.relational.kernel import RelationalKernel, kernel_for
 
 #: ``(kind, state, coded_fact_list, call_map)`` for each dispatched state;
@@ -49,23 +49,14 @@ ParentInfo = Tuple[str, Any, Tuple[Tuple[int, Tuple[int, ...]], ...], tuple]
 
 _NO_LABEL = -1
 
-# The frame format itself (magic, header layout, zlib level, dumps/loads)
-# moved to repro.engine.frames when the checkpoint layer and the paged
-# state store became co-owners of it; the historical underscore names stay
-# importable from here for the existing consumers.
-_ZLIB_LEVEL = frames.ZLIB_LEVEL
-_FRAME_MAGIC = frames.FRAME_MAGIC
-_FRAME_HEADER = frames.FRAME_HEADER
 
-
-def make_codec(generator) -> Optional["WireCodec"]:
-    """A codec for the generator's DCDS kernel, or ``None`` (pickle path)."""
-    dcds = getattr(generator, "dcds", None)
-    if dcds is None:
-        return None
-    kernel = kernel_for(dcds)
+def make_codec(generator) -> "WireCodec":
+    """A codec for the generator's DCDS kernel, which must exist."""
+    kernel = kernel_for(generator.dcds)
     if kernel is None:
-        return None
+        raise ReproError(
+            "the wire codec needs a relational kernel (REPRO_NO_KERNEL "
+            "is set)")
     return WireCodec(kernel, len(kernel.table))
 
 

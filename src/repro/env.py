@@ -8,7 +8,10 @@ semantics the switches always had:
 
 ============================ ==============================================
 ``REPRO_NO_KERNEL=1``        disable the integer-coded relational kernel
-                             (read when a kernel first attaches to a DCDS)
+                             (read when a kernel first attaches to a DCDS);
+                             kernel-less runs are never sharded — the
+                             wire codec needs the kernel, so ``workers=``
+                             runs in-process
 ``REPRO_NO_VECTOR=1``        disable the columnar numpy join backend
                              (the joins only; the µ-calculus engine has
                              no switch)

@@ -318,6 +318,29 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match="version"):
             resumed_build(path)
 
+    @pytest.mark.parametrize("malformed", [
+        lambda manifest: {key: value for key, value in manifest.items()
+                          if key != "data_bytes"},
+        lambda manifest: {**manifest, "chunks": "x"},
+        lambda manifest: {**manifest, "chunks": -1},
+        lambda manifest: {**manifest, "data_bytes": 1.5},
+        lambda manifest: {**manifest, "data_bytes": 10 ** 9},
+        lambda manifest: [manifest],
+    ], ids=["no-data-bytes", "chunks-str", "chunks-negative",
+            "data-bytes-float", "data-bytes-past-eof", "json-list"])
+    def test_malformed_manifest_raises(self, tmp_path, malformed):
+        # Each would otherwise end in a KeyError/TypeError/AttributeError
+        # traceback, or a resumed writer growing the data file.
+        path = interrupted_checkpoint(tmp_path)
+        size = os.path.getsize(path)
+        with open(path + ".manifest") as handle:
+            manifest = json.load(handle)
+        with open(path + ".manifest", "w") as handle:
+            json.dump(malformed(manifest), handle)
+        with pytest.raises(CheckpointError, match="manifest"):
+            resumed_build(path)
+        assert os.path.getsize(path) == size
+
     def test_spec_mismatch_raises(self, tmp_path):
         path = interrupted_checkpoint(tmp_path)
         other = commitment_blowup_dcds(3)

@@ -119,14 +119,26 @@ class TestGate:
 # Budget semantics mid-batch (truncate / raise / exact boundary)
 # ---------------------------------------------------------------------------
 
+def per_state(monkeypatch, explorer, generator):
+    """``explorer.run(generator)`` on the per-state reference driver.
+
+    A plain ``Explorer`` over a pure generator runs the same block loop as
+    ``ParallelExplorer``; ``REPRO_NO_BATCH`` keeps the reference side of
+    these comparisons independent of it.
+    """
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_NO_BATCH", "1")
+        return explorer.run(generator)
+
+
 class TestBudgets:
-    def test_truncate_mid_batch_no_leaked_states(self):
+    def test_truncate_mid_batch_no_leaked_states(self, monkeypatch):
         """A worker's speculative results must not leak past the budget."""
         dcds = commitment_blowup_dcds(4)  # 53 states when unconstrained
         for budget in (5, 10, 25):
-            sequential = Explorer(
+            sequential = per_state(monkeypatch, Explorer(
                 dcds.schema, max_states=budget, on_budget="truncate"
-            ).run(DetAbstractionGenerator(dcds)).transition_system
+            ), DetAbstractionGenerator(dcds)).transition_system
             parallel = ParallelExplorer(
                 dcds.schema, max_states=budget, on_budget="truncate",
                 workers=2, batch_size=4,
@@ -135,47 +147,47 @@ class TestBudgets:
             assert len(parallel) == budget + 1  # seed convention: trip on >
             assert parallel.exploration_stats["diverged"] is True
 
-    def test_truncate_budget_sweep_covers_batch_boundaries(self):
+    def test_truncate_budget_sweep_covers_batch_boundaries(self, monkeypatch):
         """Every (budget, batch_size) alignment, incl. exact boundaries."""
         dcds = student_registry()
         pool = ["idle", Fresh(70)]
         total = len(explore_concrete(dcds, pool, depth=3))
         for batch_size in (1, 2, 4):
             for budget in range(1, total + 1, 2):
-                sequential = Explorer(
+                sequential = per_state(monkeypatch, Explorer(
                     dcds.schema, max_states=budget, max_depth=3,
                     on_budget="truncate",
-                ).run(PoolNondetGenerator(dcds, pool)).transition_system
+                ), PoolNondetGenerator(dcds, pool)).transition_system
                 parallel = ParallelExplorer(
                     dcds.schema, max_states=budget, max_depth=3,
                     on_budget="truncate", workers=2, batch_size=batch_size,
                 ).run(PoolNondetGenerator(dcds, pool)).transition_system
                 assert_bit_identical(sequential, parallel)
 
-    def test_budget_exactly_on_batch_boundary(self):
+    def test_budget_exactly_on_batch_boundary(self, monkeypatch):
         """Trip on the last successor applied from a full batch."""
         dcds = commitment_blowup_dcds(4)
         # Level 1 holds 52 successors of the initial state; batch_size 13
         # makes budgets 13/26/39 land exactly on batch boundaries of the
         # follow-up level-1 expansions.
         for budget in (13, 26, 39):
-            sequential = Explorer(
+            sequential = per_state(monkeypatch, Explorer(
                 dcds.schema, max_states=budget, on_budget="truncate"
-            ).run(DetAbstractionGenerator(dcds)).transition_system
+            ), DetAbstractionGenerator(dcds)).transition_system
             parallel = ParallelExplorer(
                 dcds.schema, max_states=budget, on_budget="truncate",
                 workers=4, batch_size=13,
             ).run(DetAbstractionGenerator(dcds)).transition_system
             assert_bit_identical(sequential, parallel)
 
-    def test_speculative_discard_counted_without_leaking(self):
+    def test_speculative_discard_counted_without_leaking(self, monkeypatch):
         """In-flight batches discarded on a budget trip are counted, and
         none of their states leak into the transition system."""
         dcds = student_registry()
         pool = ["idle", Fresh(70), Fresh(71)]
-        sequential = Explorer(
+        sequential = per_state(monkeypatch, Explorer(
             dcds.schema, max_states=5, max_depth=4, on_budget="truncate"
-        ).run(PoolNondetGenerator(dcds, pool)).transition_system
+        ), PoolNondetGenerator(dcds, pool)).transition_system
         parallel = ParallelExplorer(
             dcds.schema, max_states=5, max_depth=4, on_budget="truncate",
             workers=2, batch_size=1,
@@ -185,12 +197,12 @@ class TestBudgets:
             "speculative_states_discarded"]
         assert discarded > 0
 
-    def test_raise_mid_batch_matches_sequential_partial(self):
+    def test_raise_mid_batch_matches_sequential_partial(self, monkeypatch):
         dcds = commitment_blowup_dcds(4)
         with pytest.raises(AbstractionDiverged) as sequential_error:
-            Explorer(
+            per_state(monkeypatch, Explorer(
                 dcds.schema, max_states=10, on_budget="raise"
-            ).run(DetAbstractionGenerator(dcds))
+            ), DetAbstractionGenerator(dcds))
         with pytest.raises(AbstractionDiverged) as parallel_error:
             ParallelExplorer(
                 dcds.schema, max_states=10, on_budget="raise",
@@ -210,7 +222,7 @@ class TestBudgets:
 # ---------------------------------------------------------------------------
 
 class TestObserver:
-    def test_early_stop_parity(self):
+    def test_early_stop_parity(self, monkeypatch):
         dcds = example_41()
 
         def make_observer():
@@ -221,20 +233,20 @@ class TestObserver:
                 return "enough" if len(seen) >= 4 else None
             return observer
 
-        sequential = Explorer(
+        sequential = per_state(monkeypatch, Explorer(
             dcds.schema, observer=make_observer()
-        ).run(DetAbstractionGenerator(dcds)).transition_system
+        ), DetAbstractionGenerator(dcds)).transition_system
         parallel = ParallelExplorer(
             dcds.schema, observer=make_observer(), workers=2, batch_size=2,
         ).run(DetAbstractionGenerator(dcds)).transition_system
         assert_bit_identical(sequential, parallel)
         assert parallel.exploration_stats["early_stop"] == "enough"
 
-    def test_observer_stop_on_initial(self):
+    def test_observer_stop_on_initial(self, monkeypatch):
         dcds = example_41()
-        sequential = Explorer(
+        sequential = per_state(monkeypatch, Explorer(
             dcds.schema, observer=lambda s, i: "now"
-        ).run(DetAbstractionGenerator(dcds)).transition_system
+        ), DetAbstractionGenerator(dcds)).transition_system
         parallel = ParallelExplorer(
             dcds.schema, observer=lambda s, i: "now", workers=2,
         ).run(DetAbstractionGenerator(dcds)).transition_system

@@ -18,7 +18,7 @@ import pytest
 from repro import env, verify
 from repro.engine import (
     BudgetedDict, DetAbstractionGenerator, Explorer, MemoryBudget,
-    PagedStore, RamStore, StoredTransitionSystem, resolve_memory_budget)
+    PagedStore, StoredTransitionSystem, resolve_memory_budget)
 from repro.engine import frames
 from repro.engine.store import (
     DEFAULT_SHARES, ENFORCE_FRACTION, HOT_BYTES_FLOOR, StateCodec,
@@ -282,19 +282,8 @@ class TestStateCodec:
 
 
 # ---------------------------------------------------------------------------
-# The stores
+# The paged store
 # ---------------------------------------------------------------------------
-
-class TestRamStore:
-    def test_dense_ids_in_discovery_order(self):
-        store = RamStore()
-        assert store.intern("s0") == (0, True)
-        assert store.intern("s1") == (1, True)
-        assert store.intern("s0") == (0, False)
-        assert store.fetch(1) == "s1" and len(store) == 2
-        assert store.contains("s0") and not store.contains("s2")
-        assert store.stats_dict()["backend"] == "ram"
-
 
 class TestPagedStore:
     def build(self, page_bytes=None, shares=None):

@@ -324,14 +324,23 @@ class TestParallelCodecDifferential:
         legacy_dispatch = len(pickle.dumps(sorted(ts.states, key=repr), 5))
         assert wire_bytes * 2 < legacy_dispatch
 
-    def test_legacy_pickle_path_for_kernelless_generators(self, monkeypatch):
+    def test_kernelless_generators_run_inline(self, monkeypatch):
+        # Without a kernel there is no wire codec, so workers=2 takes the
+        # in-process path of workers=1; the reference side is the
+        # per-state driver.
         monkeypatch.setenv("REPRO_NO_KERNEL", "1")
         dcds = commitment_blowup_dcds(3)
-        sequential = Explorer(dcds.schema, max_states=100000).run(
-            DetAbstractionGenerator(dcds)).transition_system
+        with monkeypatch.context() as patch:
+            patch.setenv("REPRO_NO_BATCH", "1")
+            sequential = Explorer(dcds.schema, max_states=100000).run(
+                DetAbstractionGenerator(dcds)).transition_system
         fresh = commitment_blowup_dcds(3)
         result = ParallelExplorer(
             fresh.schema, max_states=100000, workers=2,
             batch_size=8).run(DetAbstractionGenerator(fresh))
-        assert result.stats.parallel["codec"] == "pickle"
+        stats = result.stats.parallel
+        assert stats["codec"] == "inline"
+        assert stats["batches"] == 0
+        assert stats["states_shipped"] == 0
+        assert stats["ipc_bytes_sent"] == stats["ipc_bytes_received"] == 0
         assert_bit_identical(sequential, result.transition_system)
