@@ -144,13 +144,28 @@ def _signature_sha(signature) -> str:
 _write_record = frames.write_record
 
 
-def _read_record(handle, remaining: int) -> Tuple[Any, int]:
-    """The next framed record, bounded by the manifest-covered bytes."""
+#: The fields every header / chunk record carries (``name`` is optional).
+_HEADER_KEYS = ("version", "signature", "generator", "symmetry_values",
+                "strategy", "max_depth", "codec", "snapshot")
+_CHUNK_KEYS = ("states", "raw_states", "edges", "truncated", "frontier",
+               "stats", "final")
+
+
+def _read_record(handle, remaining: int, keys: Tuple[str, ...]
+                 ) -> Tuple[Dict[str, Any], int]:
+    """The next framed record, bounded by the manifest-covered bytes: a
+    mapping holding at least ``keys``. A record whose CRC holds but whose
+    shape does not is as unresumable as a corrupted one."""
     try:
-        return frames.read_record(handle, remaining)
+        record, consumed = frames.read_record(handle, remaining)
     except WireIntegrityError as error:
         raise CheckpointError(
             f"corrupted or truncated checkpoint record: {error}") from error
+    if not isinstance(record, dict) or not all(key in record for key in keys):
+        raise CheckpointError(
+            f"malformed checkpoint record: expected a mapping with the "
+            f"fields {list(keys)}")
+    return record, consumed
 
 
 @dataclass
@@ -460,7 +475,7 @@ def load_checkpoint(config: Checkpoint, generator, explorer
 
     with open(config.path, "rb") as handle:
         remaining = manifest["data_bytes"]
-        header, consumed = _read_record(handle, remaining)
+        header, consumed = _read_record(handle, remaining, _HEADER_KEYS)
         remaining -= consumed
         _check_header(header, generator, explorer)
         if header["codec"] == "store":
@@ -471,7 +486,7 @@ def load_checkpoint(config: Checkpoint, generator, explorer
         states: List[Any] = []
         last_chunk = None
         for _ in range(manifest["chunks"]):
-            chunk, consumed = _read_record(handle, remaining)
+            chunk, consumed = _read_record(handle, remaining, _CHUNK_KEYS)
             remaining -= consumed
             last_chunk = chunk
             if session is not None:
@@ -531,18 +546,7 @@ def _load_store_checkpoint(handle, remaining: int, manifest, header,
     back to the ordinary in-RAM transition system.
     """
     from repro.engine.store import StateCodec, StoredTransitionSystem
-    dcds = getattr(generator, "dcds", None)
-    kernel = kernel_for(dcds) if dcds is not None else None
-    if kernel is None:
-        raise CheckpointError(
-            "checkpoint was written with the paged-store codec but no "
-            "kernel is available to decode it (REPRO_NO_KERNEL set?)")
-    try:
-        kernel.table.replay(header["snapshot"])
-    except (ValueError, AssertionError) as error:
-        raise CheckpointError(
-            f"checkpoint term-table snapshot does not align with this "
-            f"process's kernel: {error}") from error
+    kernel = _snapshot_kernel(header, generator)
     store = getattr(explorer, "_store", None)
     adopt = store is not None and len(store) == 0
     if adopt:
@@ -555,7 +559,7 @@ def _load_store_checkpoint(handle, remaining: int, manifest, header,
     last_chunk = None
     count = 0
     for _ in range(manifest["chunks"]):
-        chunk, consumed = _read_record(handle, remaining)
+        chunk, consumed = _read_record(handle, remaining, _CHUNK_KEYS)
         remaining -= consumed
         last_chunk = chunk
         for frame in chunk["states"]:
@@ -628,20 +632,27 @@ def _check_header(header: Dict[str, Any], generator, explorer) -> None:
                 f"({getattr(explorer, attribute)!r})")
 
 
-def _loader_session(header: Dict[str, Any], generator
-                    ) -> Optional[WireSession]:
-    if header["codec"] != "wire":
-        return None
+def _snapshot_kernel(header: Dict[str, Any], generator):
+    """The resuming process's kernel, its term table re-anchored on the
+    header's snapshot so coded records decode against it."""
     dcds = getattr(generator, "dcds", None)
     kernel = kernel_for(dcds) if dcds is not None else None
     if kernel is None:
         raise CheckpointError(
-            "checkpoint was written with the kernel wire codec but no "
-            "kernel is available to decode it (REPRO_NO_KERNEL set?)")
+            f"checkpoint was written with the {header['codec']!r} codec but "
+            f"no kernel is available to decode it (REPRO_NO_KERNEL set?)")
     try:
         kernel.table.replay(header["snapshot"])
     except (ValueError, AssertionError) as error:
         raise CheckpointError(
             f"checkpoint term-table snapshot does not align with this "
             f"process's kernel: {error}") from error
+    return kernel
+
+
+def _loader_session(header: Dict[str, Any], generator
+                    ) -> Optional[WireSession]:
+    if header["codec"] != "wire":
+        return None
+    kernel = _snapshot_kernel(header, generator)
     return WireSession(WireCodec(kernel, len(header["snapshot"])))

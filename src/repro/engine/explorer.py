@@ -325,12 +325,12 @@ class Explorer:
         """Switch this run to the paged state store when it qualifies.
 
         Store mode needs an effective ``memory_budget`` (explicit or the
-        ``REPRO_MEMORY_BUDGET`` default, vetoed by ``REPRO_NO_SPILL``), the
-        paper's BFS order (frontier ids reload in pop order and edge
-        sources arrive contiguously only under BFS), a pure
-        (``parallel_safe``) generator (rehydration re-expands states, so
-        expansion must be a function of the state alone), and a relational
-        kernel (the canonical frame codec is coded-term based). Anything
+        ``REPRO_MEMORY_BUDGET`` default), the paper's BFS order (frontier
+        ids reload in pop order and edge sources arrive contiguously only
+        under BFS), a pure (``parallel_safe``) generator (rehydration
+        re-expands states, so expansion must be a function of the state
+        alone), and a relational kernel (the canonical frame codec is
+        coded-term based). Anything
         else keeps today's in-RAM path, exactly as before. Must run before
         the checkpoint load: a store-format checkpoint adopts its frames
         into the (still empty) store.

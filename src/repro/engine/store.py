@@ -91,10 +91,8 @@ ENFORCE_FRACTION = 0.8
 
 
 def resolve_memory_budget(explicit: Optional[int]) -> Optional[int]:
-    """The effective budget: explicit arg, else ``REPRO_MEMORY_BUDGET``,
-    gated by the ``REPRO_NO_SPILL`` kill switch. ``None`` means RAM."""
-    if env.spill_disabled():
-        return None
+    """The effective budget: explicit arg, else ``REPRO_MEMORY_BUDGET``.
+    ``None`` means RAM."""
     budget = explicit if explicit is not None \
         else env.memory_budget_default()
     if budget is None:

@@ -80,9 +80,7 @@ enforces that adequacy gate. RCYCL stays excluded (its used-value pool is
 discovery-order dependent), exactly as it is excluded from sharding.
 
 Mode selection: ``symmetry="quotient"`` is opt-in per call (default
-``"exact"``); ``REPRO_SYMMETRY`` sets the process default and
-``REPRO_NO_SYMMETRY=1`` is the kill switch that forces ``"exact"``
-everywhere (mirroring ``REPRO_NO_KERNEL``).
+``"exact"``); ``REPRO_SYMMETRY`` sets the process default.
 """
 
 from __future__ import annotations
@@ -106,9 +104,7 @@ SYMMETRY_MODES = ("exact", "quotient")
 def resolve_symmetry(symmetry: Optional[str] = None) -> str:
     """Resolve a ``symmetry=`` argument against the environment.
 
-    ``None`` falls back to ``REPRO_SYMMETRY`` (default ``"exact"``);
-    ``REPRO_NO_SYMMETRY=1`` is the kill switch forcing ``"exact"`` no
-    matter what was requested.
+    ``None`` falls back to ``REPRO_SYMMETRY`` (default ``"exact"``).
     """
     if symmetry is None:
         symmetry = env.symmetry_default()
@@ -116,8 +112,6 @@ def resolve_symmetry(symmetry: Optional[str] = None) -> str:
         raise ReproError(
             f"unknown symmetry mode {symmetry!r}; expected one of "
             f"{SYMMETRY_MODES}")
-    if symmetry == "quotient" and env.symmetry_disabled():
-        return "exact"
     return symmetry
 
 

@@ -1,9 +1,11 @@
 """Process-environment kill switches, consolidated.
 
-Every accelerator tier of the engine has an environment kill switch so CI
-(and a user chasing a miscompare) can force the slower-but-authoritative
-path without touching code. The parsing used to be scattered across the
-consuming modules; it lives here now, one helper per switch, with the
+Every accelerator tier that is on by default has an environment kill switch
+so CI (and a user chasing a miscompare) can force the slower-but-
+authoritative path without touching code. Opt-in tiers (the symmetry
+quotient, the paged store) need none: leaving the argument and its process
+default unset is the off position. The parsing used to be scattered across
+the consuming modules; it lives here now, one helper per switch, with the
 semantics the switches always had:
 
 ============================ ==============================================
@@ -15,17 +17,12 @@ semantics the switches always had:
 ``REPRO_NO_VECTOR=1``        disable the columnar numpy join backend
                              (the joins only; the µ-calculus engine has
                              no switch)
-``REPRO_NO_NUMPY=1``         pretend numpy is not installed (test hook)
 ``REPRO_NO_BATCH=1``         disable the frontier-batch tier (per-frontier
                              grounding falls back to per-state calls)
 ``REPRO_SYMMETRY=<mode>``    process default for the exploration symmetry
                              mode (``exact``/``quotient``)
-``REPRO_NO_SYMMETRY=1``      force ``symmetry="exact"`` everywhere
 ``REPRO_NO_WITNESS=1``       skip witness/counterexample certificate
                              extraction in ``pipeline.verify``
-``REPRO_NO_SPILL=1``         disable the paged state store: any
-                             ``memory_budget=`` is ignored and the
-                             exploration keeps everything in RAM
 ``REPRO_MEMORY_BUDGET=<n>``  process default for ``memory_budget=``
                              (bytes; ``k``/``m``/``g`` suffixes allowed)
 ``REPRO_FAULTS=<spec>``      seeded fault-injection plan for the parallel
@@ -66,11 +63,6 @@ def vector_disabled() -> bool:
     return _flag("REPRO_NO_VECTOR")
 
 
-def numpy_hidden() -> bool:
-    """``REPRO_NO_NUMPY``: simulate an environment without numpy."""
-    return _flag("REPRO_NO_NUMPY")
-
-
 def batch_disabled() -> bool:
     """``REPRO_NO_BATCH``: per-state grounding only (no frontier batching).
 
@@ -90,11 +82,6 @@ def symmetry_default() -> str:
     return os.environ.get("REPRO_SYMMETRY") or "exact"
 
 
-def symmetry_disabled() -> bool:
-    """``REPRO_NO_SYMMETRY``: force exact exploration everywhere."""
-    return _flag("REPRO_NO_SYMMETRY")
-
-
 def witness_disabled() -> bool:
     """``REPRO_NO_WITNESS``: verdicts only, no certificate extraction.
 
@@ -105,19 +92,6 @@ def witness_disabled() -> bool:
     behaviorally invisible outside the certificate fields.
     """
     return _flag("REPRO_NO_WITNESS")
-
-
-def spill_disabled() -> bool:
-    """``REPRO_NO_SPILL``: keep every state and memo in RAM.
-
-    Kill switch of the paged state store: with it set, a
-    ``memory_budget=`` passed to ``verify``/``build_det_abstraction``/
-    ``explore_concrete`` (or the ``REPRO_MEMORY_BUDGET`` default) is
-    ignored and the exploration runs exactly as before the storage layer
-    existed — same objects, same stats, no ``store`` entry in
-    ``abstraction_stats``.
-    """
-    return _flag("REPRO_NO_SPILL")
 
 
 #: Multipliers for ``REPRO_MEMORY_BUDGET`` suffixes.

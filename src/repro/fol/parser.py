@@ -26,7 +26,7 @@ the paper's examples, which write constants ``a, b`` unquoted).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro.errors import ParseError
 from repro.fol.ast import (
@@ -121,8 +121,22 @@ class TokenStream:
                              self.text, self.peek().pos)
         return token
 
-    def at_end(self) -> bool:
-        return self.peek().kind == "end"
+    def parse_all(self, parse_root: Callable[[], Any]) -> Any:
+        """Run a recursive-descent entry point over the whole input.
+
+        Input nested past the interpreter's stack is a :class:`ParseError`
+        at the token where the descent stopped, like any other bad input.
+        """
+        try:
+            result = parse_root()
+        except RecursionError:
+            raise ParseError("formula nested too deeply", self.text,
+                             self.peek().pos) from None
+        token = self.peek()
+        if token.kind != "end":
+            raise ParseError(f"trailing input {token.text!r}", self.text,
+                             token.pos)
+        return result
 
 
 class FormulaParser:
@@ -135,12 +149,7 @@ class FormulaParser:
     # -- entry points ---------------------------------------------------------
 
     def parse(self) -> Formula:
-        formula = self.parse_implication()
-        if not self.stream.at_end():
-            token = self.stream.peek()
-            raise ParseError(f"trailing input {token.text!r}",
-                             self.stream.text, token.pos)
-        return formula
+        return self.stream.parse_all(self.parse_implication)
 
     # -- grammar ---------------------------------------------------------------
 
@@ -215,13 +224,15 @@ class FormulaParser:
         following = self.stream.tokens[self.stream.index + 1]
         return following.kind == "symbol" and following.text == "("
 
-    def parse_term_list(self) -> List[Any]:
+    def parse_term_list(self, allow_calls: bool = False) -> List[Any]:
+        """A parenthesized, comma-separated term list (atom or call args;
+        ``allow_calls`` admits service calls in effect heads)."""
         self.stream.expect("symbol", "(")
         terms: List[Any] = []
         if not self.stream.accept("symbol", ")"):
-            terms.append(self.parse_term(allow_calls=False))
+            terms.append(self.parse_term(allow_calls))
             while self.stream.accept("symbol", ","):
-                terms.append(self.parse_term(allow_calls=False))
+                terms.append(self.parse_term(allow_calls))
             self.stream.expect("symbol", ")")
         return terms
 
@@ -241,7 +252,7 @@ class FormulaParser:
         if token.kind == "name":
             self.stream.next()
             if allow_calls and self._at_symbol("("):
-                args = self.parse_call_args()
+                args = self.parse_term_list()
                 return ServiceCall(token.text, tuple(args))
             if token.text in self.constants:
                 return token.text
@@ -252,16 +263,6 @@ class FormulaParser:
     def _at_symbol(self, text: str) -> bool:
         token = self.stream.peek()
         return token.kind == "symbol" and token.text == text
-
-    def parse_call_args(self) -> List[Any]:
-        self.stream.expect("symbol", "(")
-        args: List[Any] = []
-        if not self.stream.accept("symbol", ")"):
-            args.append(self.parse_term(allow_calls=False))
-            while self.stream.accept("symbol", ","):
-                args.append(self.parse_term(allow_calls=False))
-            self.stream.expect("symbol", ")")
-        return args
 
 
 def parse_formula(text: str, constants: Iterable[str] = ()) -> Formula:
@@ -276,15 +277,9 @@ def parse_formula(text: str, constants: Iterable[str] = ()) -> Formula:
 def parse_head_atom(text: str, constants: Iterable[str] = ()) -> Atom:
     """Parse an effect-head atom, where terms may be service calls ``f(x)``."""
     parser = FormulaParser(text, constants)
-    name = parser.stream.expect("name").text
-    parser.stream.expect("symbol", "(")
-    terms: List[Any] = []
-    if not parser.stream.accept("symbol", ")"):
-        terms.append(parser.parse_term(allow_calls=True))
-        while parser.stream.accept("symbol", ","):
-            terms.append(parser.parse_term(allow_calls=True))
-        parser.stream.expect("symbol", ")")
-    if not parser.stream.at_end():
-        token = parser.stream.peek()
-        raise ParseError(f"trailing input {token.text!r}", text, token.pos)
-    return Atom(name, tuple(terms))
+
+    def head() -> Atom:
+        name = parser.stream.expect("name").text
+        return Atom(name, tuple(parser.parse_term_list(allow_calls=True)))
+
+    return parser.stream.parse_all(head)

@@ -54,12 +54,7 @@ class MuParser:
         self._bound_pvars: Set[str] = set()
 
     def parse(self) -> MuFormula:
-        formula = self.parse_implication()
-        if not self.stream.at_end():
-            token = self.stream.peek()
-            raise ParseError(f"trailing input {token.text!r}",
-                             self.stream.text, token.pos)
-        return formula
+        return self.stream.parse_all(self.parse_implication)
 
     # -- grammar -----------------------------------------------------------------
 

@@ -139,7 +139,7 @@ def verify(dcds: DCDS, formula: MuFormula, max_states: int = 20000,
     request (plain-instance states admit no sound quotient; recycling is
     the nondeterministic symmetry mechanism — see
     :mod:`repro.engine.symmetry`). Default ``"exact"``; environment
-    default ``REPRO_SYMMETRY``, kill switch ``REPRO_NO_SYMMETRY=1``.
+    default ``REPRO_SYMMETRY``.
 
     ``checkpoint=<path>`` makes the deterministic-abstraction
     construction crash-safe: progress is periodically persisted
@@ -155,8 +155,8 @@ def verify(dcds: DCDS, formula: MuFormula, max_states: int = 20000,
     spill to disk pages, only a budgeted hot set stays live, and the
     verdict is bit-identical to the unbudgeted run. The store's counters
     appear under ``abstraction_stats["store"]``. ``None`` falls back to
-    ``REPRO_MEMORY_BUDGET``; ``REPRO_NO_SPILL=1`` is the kill switch.
-    The RCYCL route ignores it, like ``workers``."""
+    ``REPRO_MEMORY_BUDGET``, and no budget at all keeps it in RAM. The
+    RCYCL route ignores it, like ``workers``."""
     fragment = classify(formula)
     symmetry = resolve_symmetry(symmetry)
 

@@ -18,8 +18,7 @@ and the reference evaluator.
 
 Backend selection is automatic and per call:
 
-* numpy absent (or hidden via ``REPRO_NO_NUMPY=1`` for testing) — the
-  interpreted kernel path runs, unchanged;
+* numpy absent — the interpreted kernel path runs, unchanged;
 * ``REPRO_NO_VECTOR=1`` — kill switch, same fallback;
 * a row-budget overflow (:data:`MAX_ROWS`) or tiny instances below
   :data:`MIN_TUPLES` — the batched execution would lose to its own
@@ -34,7 +33,7 @@ from __future__ import annotations
 import time
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via REPRO_NO_NUMPY in tests
+try:  # pragma: no cover - which arm runs depends on the install
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
@@ -83,9 +82,8 @@ class VectorUnsupported(ReproError):
 
 
 def numpy_available() -> bool:
-    """Numpy importable and not hidden by ``REPRO_NO_NUMPY=1`` (the test
-    hook simulating an uninstalled numpy)."""
-    return _np is not None and not env.numpy_hidden()
+    """Numpy importable."""
+    return _np is not None
 
 
 def vector_enabled() -> bool:
@@ -96,7 +94,7 @@ def vector_enabled() -> bool:
 
 
 def require_numpy():
-    if _np is None or env.numpy_hidden():
+    if _np is None:
         raise VectorUnsupported("numpy is not available")
     return _np
 

@@ -86,14 +86,13 @@ def build_det_abstraction(
     constants, Lemma C.2), so isomorphic states merge *before* expansion.
     The result is persistence-preserving bisimilar to the exact build —
     sound for µLP properties only. Default ``"exact"``; the environment
-    default is ``REPRO_SYMMETRY`` and ``REPRO_NO_SYMMETRY=1`` kills the
-    reduction (see :mod:`repro.engine.symmetry`).
+    default is ``REPRO_SYMMETRY`` (see :mod:`repro.engine.symmetry`).
 
     ``memory_budget`` (bytes) switches the build to the out-of-core
     storage layer (:mod:`repro.engine.store`): coded states spill to
     append-only pages, only a budgeted hot set stays live, and the
     result is bit-identical to the unbudgeted build. ``None`` falls back
-    to ``REPRO_MEMORY_BUDGET``; ``REPRO_NO_SPILL=1`` is the kill switch.
+    to ``REPRO_MEMORY_BUDGET``, and no budget at all keeps it in RAM.
     """
     if dcds.semantics is not ServiceSemantics.DETERMINISTIC:
         raise ReproError(

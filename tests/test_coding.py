@@ -22,7 +22,7 @@ from repro.utils import value_sort_key
 
 numpy_live = pytest.mark.skipif(
     not vector.numpy_available(),
-    reason="columns() requires numpy (REPRO_NO_NUMPY or not installed)")
+    reason="columns() requires numpy (not installed)")
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from collections import Counter
 
 import pytest
 
-from repro import env
 from repro.core import ServiceSemantics
 from repro.core.execution import clear_subproblem_caches
 from repro.engine import (
@@ -195,12 +194,11 @@ def run_differential_case(seed, shape, semantics):
     assert_certificates_agree(dcds, sequential, batch_builds["1"])
     # Out-of-core mirror: the same case rebuilt under a tight memory
     # budget — sequential and at every worker count — must stay
-    # bit-identical to the in-RAM build. Under the REPRO_NO_SPILL=1 CI
-    # mirror (or without a kernel) the budget is vetoed and these are
-    # plain rebuilds, which must *still* be bit-identical.
+    # bit-identical to the in-RAM build. Without a kernel the store is
+    # not eligible and these are plain rebuilds, which must *still* be
+    # bit-identical.
     store_config = dict(config, memory_budget=TIGHT_BUDGET)
-    spill_expected = not env.spill_disabled() \
-        and kernel_for(dcds) is not None
+    spill_expected = kernel_for(dcds) is not None
     budgeted = Explorer(dcds.schema, **store_config).run(
         generator_factory()).transition_system
     if spill_expected:
@@ -212,12 +210,6 @@ def run_differential_case(seed, shape, semantics):
             dcds.schema, workers=workers, batch_size=4, **store_config,
         ).run(generator_factory()).transition_system
         assert_isomorphic_builds(sequential, budgeted_parallel)
-    # The kill switch vetoes even an explicit budget: plain build.
-    with forced_env("REPRO_NO_SPILL", "1"):
-        vetoed = Explorer(dcds.schema, **store_config).run(
-            generator_factory()).transition_system
-    assert vetoed.exploration_stats.get("store") is None
-    assert_isomorphic_builds(sequential, vetoed)
     return sequential
 
 
@@ -273,7 +265,7 @@ class TestCheckpointUnderSpill:
     def test_budgeted_interrupt_plain_resume(self, tmp_path):
         """A store-format checkpoint is readable by an unbudgeted run."""
         dcds, generator_factory, config, baseline = self._case()
-        if env.spill_disabled() or kernel_for(dcds) is None:
+        if kernel_for(dcds) is None:
             pytest.skip("store mode unavailable")
         path = tmp_path / "ck-cross"
         self._interrupted(dcds, generator_factory, config, path,
@@ -351,10 +343,6 @@ def assert_report_certified(report, dcds, formula):
     """The report's certificate passes the independent replay oracle and
     its verdict agrees with the uncompiled reference evaluator."""
     certificate = report.witness or report.violation
-    if env.witness_disabled():
-        assert certificate is None
-        assert report.checking_stats["witness"] == {"enabled": False}
-        return None
     if certificate is not None:
         oracle = replay(report.transition_system, certificate)
         assert oracle.ok, oracle.failures

@@ -16,11 +16,8 @@ from repro import env
 FLAG_HELPERS = [
     ("REPRO_NO_KERNEL", env.kernel_disabled),
     ("REPRO_NO_VECTOR", env.vector_disabled),
-    ("REPRO_NO_NUMPY", env.numpy_hidden),
     ("REPRO_NO_BATCH", env.batch_disabled),
-    ("REPRO_NO_SYMMETRY", env.symmetry_disabled),
     ("REPRO_NO_WITNESS", env.witness_disabled),
-    ("REPRO_NO_SPILL", env.spill_disabled),
 ]
 
 

@@ -24,6 +24,7 @@ from repro.core.execution import clear_subproblem_caches
 from repro.engine import (
     Checkpoint, CheckpointInterrupted, DetAbstractionGenerator, Explorer,
     FaultEvent, FaultPlan, ParallelExplorer)
+from repro.engine import frames
 from repro.errors import CheckpointError, ReproError, WorkerCrashError
 from repro.gallery import student_registry
 from repro.gallery.student import property_eventual_graduation_mu_lp
@@ -340,6 +341,38 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match="manifest"):
             resumed_build(path)
         assert os.path.getsize(path) == size
+
+    @pytest.mark.parametrize("malformed", [
+        lambda header, chunks: ([header], chunks),
+        lambda header, chunks: (
+            {key: value for key, value in header.items()
+             if key != "signature"}, chunks),
+        lambda header, chunks: (header, [
+            {key: value for key, value in chunks[0].items()
+             if key != "states"}] + chunks[1:]),
+    ], ids=["header-list", "header-no-signature", "chunk-no-states"])
+    def test_malformed_record_raises(self, tmp_path, malformed):
+        # Re-framed records keep a valid CRC: only their shape is wrong.
+        # Each would otherwise end in an AttributeError/KeyError traceback.
+        path = interrupted_checkpoint(tmp_path)
+        with open(path + ".manifest") as handle:
+            manifest = json.load(handle)
+        with open(path, "rb") as handle:
+            remaining = manifest["data_bytes"]
+            records = []
+            for _ in range(manifest["chunks"] + 1):
+                record, consumed = frames.read_record(handle, remaining)
+                remaining -= consumed
+                records.append(record)
+        header, chunks = malformed(records[0], records[1:])
+        with open(path, "wb") as handle:
+            manifest["data_bytes"] = sum(
+                frames.write_record(handle, record)
+                for record in [header] + chunks)
+        with open(path + ".manifest", "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(CheckpointError, match="malformed checkpoint"):
+            resumed_build(path)
 
     def test_spec_mismatch_raises(self, tmp_path):
         path = interrupted_checkpoint(tmp_path)

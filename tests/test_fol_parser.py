@@ -110,6 +110,13 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_formula("(R(x) & S(y)")
 
+    @pytest.mark.parametrize("depth", [500, 5000])
+    def test_deep_nesting_is_a_parse_error(self, depth):
+        text = "(" * depth + "true" + ")" * depth
+        with pytest.raises(ParseError, match="nested too deeply") as error:
+            parse_formula(text)
+        assert 0 <= error.value.pos < depth
+
     def test_free_variables_of_parsed(self):
         parsed = parse_formula("exists y. R(x, y) & S(z)")
         assert parsed.free_variables() == {Var("x"), Var("z")}

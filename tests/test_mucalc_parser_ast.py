@@ -61,6 +61,13 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_mu("R(x) R(y)")
 
+    @pytest.mark.parametrize("depth", [500, 5000])
+    def test_deep_nesting_is_a_parse_error(self, depth):
+        text = "(" * depth + "true" + ")" * depth
+        with pytest.raises(ParseError, match="nested too deeply") as error:
+            parse_mu(text)
+        assert 0 <= error.value.pos < depth
+
     def test_nested_precedence(self):
         parsed = parse_mu("~ <-> R('a') | [-] S('b')")
         assert isinstance(parsed, MOr)

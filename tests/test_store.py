@@ -15,7 +15,7 @@ import io
 
 import pytest
 
-from repro import env, verify
+from repro import verify
 from repro.engine import (
     BudgetedDict, DetAbstractionGenerator, Explorer, MemoryBudget,
     PagedStore, StoredTransitionSystem, resolve_memory_budget)
@@ -47,11 +47,6 @@ def kernel_or_skip(dcds):
     if kernel is None:
         pytest.skip("relational kernel disabled (REPRO_NO_KERNEL)")
     return kernel
-
-
-def store_mode_or_skip():
-    if env.spill_disabled():
-        pytest.skip("paged store disabled (REPRO_NO_SPILL)")
 
 
 # ---------------------------------------------------------------------------
@@ -402,31 +397,22 @@ class TestPagedStore:
 
 
 # ---------------------------------------------------------------------------
-# resolve_memory_budget and the kill switch
+# resolve_memory_budget
 # ---------------------------------------------------------------------------
 
 class TestResolveMemoryBudget:
     def test_explicit_wins_over_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_SPILL", raising=False)
         monkeypatch.setenv("REPRO_MEMORY_BUDGET", "1m")
         assert resolve_memory_budget(2048) == 2048
 
     def test_environment_fallback(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_SPILL", raising=False)
         monkeypatch.setenv("REPRO_MEMORY_BUDGET", "64k")
         assert resolve_memory_budget(None) == 64 << 10
         monkeypatch.delenv("REPRO_MEMORY_BUDGET")
         assert resolve_memory_budget(None) is None
 
-    def test_kill_switch_vetoes_everything(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SPILL", "1")
-        monkeypatch.setenv("REPRO_MEMORY_BUDGET", "64k")
-        assert resolve_memory_budget(None) is None
-        assert resolve_memory_budget(2048) is None
-
     @pytest.mark.parametrize("bad", [0, -1])
-    def test_non_positive_raises(self, monkeypatch, bad):
-        monkeypatch.delenv("REPRO_NO_SPILL", raising=False)
+    def test_non_positive_raises(self, bad):
         with pytest.raises(ReproError):
             resolve_memory_budget(bad)
 
@@ -468,7 +454,6 @@ class TestKernelMemoBudget:
 
 class TestStoredTransitionSystem:
     def builds(self):
-        store_mode_or_skip()
         dcds = conveyor_dcds(1)
         kernel_or_skip(dcds)
         baseline = Explorer(dcds.schema, max_depth=3).run(
@@ -508,7 +493,6 @@ class TestStoredTransitionSystem:
 
 class TestEndToEnd:
     def test_verify_under_budget_matches_unbudgeted(self, ex41):
-        store_mode_or_skip()
         kernel_or_skip(ex41)
         formula = parse_mu("mu Z. (R('a') | <-> Z)")
         baseline = verify(ex41, formula)
@@ -523,7 +507,6 @@ class TestEndToEnd:
 
     def test_verify_keep_ts_false_reads_stats_without_materializing(
             self, ex41):
-        store_mode_or_skip()
         kernel_or_skip(ex41)
         formula = parse_mu("mu Z. (R('a') | <-> Z)")
         report = verify(ex41, formula, memory_budget=TIGHT, keep_ts=False)
@@ -532,7 +515,6 @@ class TestEndToEnd:
         assert report.abstraction_stats.get("store")
 
     def test_verify_on_the_fly_under_budget(self, ex41):
-        store_mode_or_skip()
         kernel_or_skip(ex41)
         formula = parse_mu("mu Z. (R('a') | <-> Z)")
         offline = verify(ex41, formula)
@@ -540,7 +522,6 @@ class TestEndToEnd:
         assert fused.holds == offline.holds
 
     def test_build_det_abstraction_under_budget(self, ex41):
-        store_mode_or_skip()
         kernel_or_skip(ex41)
         baseline = build_det_abstraction(ex41)
         budgeted = build_det_abstraction(ex41, memory_budget=TIGHT)
@@ -548,17 +529,9 @@ class TestEndToEnd:
         assert fingerprint(budgeted) == fingerprint(baseline)
 
     def test_explore_concrete_under_budget(self, ex41):
-        store_mode_or_skip()
         kernel_or_skip(ex41)
         pool = ["a", Fresh(30), Fresh(31)]
         baseline = explore_concrete(ex41, pool, depth=2)
         budgeted = explore_concrete(ex41, pool, depth=2,
                                     memory_budget=TIGHT)
         assert fingerprint(budgeted) == fingerprint(baseline)
-
-    def test_no_spill_forces_the_plain_path(self, ex41, monkeypatch):
-        kernel_or_skip(ex41)
-        monkeypatch.setenv("REPRO_NO_SPILL", "1")
-        ts = build_det_abstraction(ex41, memory_budget=TIGHT)
-        assert not isinstance(ts, StoredTransitionSystem)
-        assert ts.exploration_stats.get("store") is None

@@ -23,7 +23,7 @@ Four pillars:
 
 * **Adequacy gate** — ``verify(..., symmetry="quotient")`` refuses
   non-µLP formulas and formulas naming constants the quotient does not
-  fix; ``REPRO_NO_SYMMETRY=1`` kills the reduction everywhere.
+  fix.
 
 * **Interner/parallel regressions** — the ``InternEntry`` single-``fixed``
   contract, canonical-first interning, and the ``workers=1`` inline
@@ -60,7 +60,6 @@ from repro.relational.values import Fresh, ServiceCall
 from repro.semantics import explore_concrete, isomorphism_quotient
 from repro.workloads import random_dcds
 
-KILL_SWITCH = bool(os.environ.get("REPRO_NO_SYMMETRY"))
 MAX_WORKERS = max(1, int(os.environ.get("REPRO_WORKERS", "4")))
 WORKER_COUNTS = tuple(sorted({1, 2, MAX_WORKERS}))
 
@@ -348,7 +347,6 @@ class TestQuotientDifferentialRandomSweep:
 # State-count reduction (the point of the exercise)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.skipif(KILL_SWITCH, reason="REPRO_NO_SYMMETRY kill switch set")
 class TestReduction:
     def test_fresh_pool_reduction_at_least_2x(self):
         """Dead stamp receipts cycling through the fresh pool collapse the
@@ -383,13 +381,11 @@ class TestReduction:
 # ---------------------------------------------------------------------------
 
 class TestVerifyQuotient:
-    @pytest.mark.skipif(KILL_SWITCH, reason="gate disabled by kill switch")
     def test_non_mulp_formula_rejected(self):
         with pytest.raises(VerificationError, match="µLP"):
             verify(random_dcds(0), property_eventual_graduation_mu_la(),
                    symmetry="quotient")
 
-    @pytest.mark.skipif(KILL_SWITCH, reason="gate disabled by kill switch")
     def test_foreign_constant_rejected(self):
         formula = parse_mu(
             "mu Z. ((E x. live(x) & R0(x, 'zzz')) | <-> Z)")
@@ -416,24 +412,14 @@ class TestVerifyQuotient:
         reduced = verify(random_dcds(0), formula, max_states=3000,
                          symmetry="quotient")
         assert reduced.holds == baseline.holds
-        if not KILL_SWITCH:
-            assert reduced.symmetry == "quotient"
-            assert "symmetry" in reduced.abstraction_stats
-
-    def test_kill_switch_forces_exact(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SYMMETRY", "1")
-        assert resolve_symmetry("quotient") == "exact"
-        formula = parse_mu("mu Z. ((E x. live(x) & R0(x)) | <-> Z)")
-        report = verify(random_dcds(0), formula, max_states=3000,
-                        symmetry="quotient")
-        assert report.symmetry == "exact"
-        assert "symmetry" not in report.abstraction_stats
+        assert reduced.symmetry == "quotient"
+        assert "symmetry" in reduced.abstraction_stats
 
     def test_env_default_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_SYMMETRY", raising=False)
         monkeypatch.setenv("REPRO_SYMMETRY", "quotient")
         assert resolve_symmetry(None) == "quotient"
-        monkeypatch.setenv("REPRO_NO_SYMMETRY", "1")
+        assert resolve_symmetry("exact") == "exact"
+        monkeypatch.delenv("REPRO_SYMMETRY")
         assert resolve_symmetry(None) == "exact"
         with pytest.raises(ReproError):
             resolve_symmetry("bogus")

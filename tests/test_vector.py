@@ -2,12 +2,12 @@
 paths.
 
 The columnar join executor (:mod:`repro.relational.vector`, numpy) rides
-behind the ``REPRO_NO_VECTOR`` / ``REPRO_NO_NUMPY`` kill switches; the
+behind the ``REPRO_NO_VECTOR`` kill switch (and numpy being installed); the
 bitset µ-calculus engine (:mod:`repro.mucalc.engine.bitset`, pure Python)
 has no switch and is pinned to the ``compiled=False`` reference checker.
 Every observable — query answer sets, whole transition systems, checker
 extensions — must be bit-identical across default /
-``REPRO_NO_VECTOR=1`` / ``REPRO_NO_NUMPY=1`` / ``REPRO_NO_KERNEL=1`` and
+``REPRO_NO_VECTOR=1`` / ``REPRO_NO_KERNEL=1`` and
 against the reference, seeded so failures reproduce from the
 parametrization alone.
 """
@@ -142,15 +142,14 @@ class TestQueryParity:
 # Transition-system parity across every kill-switch mode
 # ---------------------------------------------------------------------------
 
-SWITCHES = ("REPRO_NO_VECTOR", "REPRO_NO_NUMPY", "REPRO_NO_KERNEL")
+SWITCHES = ("REPRO_NO_VECTOR", "REPRO_NO_KERNEL")
 
-#: Mode name -> env overrides. "no-numpy" simulates an uninstalled numpy;
-#: "reference" disables the integer kernel wholesale (and with it the
-#: vector backend, which only runs inside kernel routines).
+#: Mode name -> env overrides. "reference" disables the integer kernel
+#: wholesale (and with it the vector backend, which only runs inside kernel
+#: routines).
 MODES = {
     "vector": {},
     "no-vector": {"REPRO_NO_VECTOR": "1"},
-    "no-numpy": {"REPRO_NO_NUMPY": "1"},
     "reference": {"REPRO_NO_KERNEL": "1"},
 }
 
@@ -319,8 +318,10 @@ class TestBackendSelection:
         assert not vector.vector_enabled()
         assert vector.binding_matrix(plan, coded, domain) is None
 
-    def test_no_numpy_hook(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    @pytest.mark.skipif(vector.numpy_available(),
+                        reason="numpy installed (the numpy-free run covers "
+                               "this)")
+    def test_numpy_absent_disables_backend(self):
         assert not vector.numpy_available()
         assert not vector.vector_enabled()
         with pytest.raises(vector.VectorUnsupported):

@@ -13,9 +13,10 @@ Three layers of guarantees, each pinned here:
   system, so certificates are bit-identical across the kernel /
   vector / frontier-batch kill switches and across worker counts.
 
-Pipeline-level tests force ``REPRO_NO_WITNESS`` off for their block so
-the suite also passes under the CI mirror that runs tier-1 with the kill
-switch ambient-on; the switch itself is tested explicitly.
+Pipeline-level tests force ``REPRO_NO_WITNESS`` off for their block so an
+ambient setting cannot hide them. The switch itself is flipped per case
+by ``TestKillSwitch`` over every ``verify()`` route and option the suite
+uses: verdict, route, state space and checking counters must not move.
 """
 
 from __future__ import annotations
@@ -27,10 +28,13 @@ import pytest
 from test_differential import (
     forced_env, invariant_formula, reachability_formula)
 
-from repro.core import ServiceSemantics
+from repro.core import DCDSBuilder, ServiceSemantics
 from repro.core.execution import clear_subproblem_caches
+from repro.gallery.library import (
+    library_system, property_loaned_books_off_shelf)
 from repro.gallery.student import (
-    property_eventual_graduation_mu_lp, property_no_student_while_idle)
+    property_eventual_graduation_mu_la, property_eventual_graduation_mu_lp,
+    property_no_student_while_idle)
 from repro.mucalc import parse_mu
 from repro.mucalc.certify import (
     CertificateError, replay, state_holds, validate)
@@ -427,23 +431,138 @@ class TestOnTheFly:
 # Kill switch
 # ---------------------------------------------------------------------------
 
+def bounded_cyclic_dcds():
+    """Not weakly acyclic yet run-bounded: verifiable only with force."""
+    builder = DCDSBuilder(name="bounded-but-cyclic")
+    builder.schema("R/1", "Q/1", "Done/0")
+    builder.initial("R('a')")
+    builder.service("f/1")
+    builder.action("go", "R(x) ~> Q(f(x)), Done()", "Q(x) ~> R(x)")
+    builder.rule("~(Done())", "go")
+    return builder.build()
+
+
+def mixed_dcds():
+    """One deterministic and one nondeterministic service (Section 6)."""
+    builder = DCDSBuilder(name="mixed")
+    builder.schema("R/1", "S/2")
+    builder.initial("R('a')")
+    builder.service("det_f/1", deterministic=True)
+    builder.service("free_g/1", deterministic=False)
+    builder.action("go", "R(x) ~> R(x), S(det_f(x), free_g(x))")
+    builder.rule("true", "go")
+    return builder.build(ServiceSemantics.NONDETERMINISTIC)
+
+
+REACH_A = "mu Z. (R('a') | <-> Z)"
+INVARIANT_A = "nu X. (R('a') & [-] X)"
+
+#: Every other route and option combination the suite's ``verify()``
+#: calls use (plain offline ex41 reachability is the first kill-switch
+#: test; the gallery battery supplies plain offline det and RCYCL cases):
+#: (id, fixture name or dcds factory, formula text or function of the
+#: dcds, options). ``checkpoint=True`` stands for a fresh checkpoint path
+#: per side.
+KILL_SWITCH_CASES = [
+    ("det-on-the-fly", "ex41", REACH_A, {"on_the_fly": True}),
+    ("det-on-the-fly-violation", "ex41", INVARIANT_A,
+     {"on_the_fly": True}),
+    ("det-forced", bounded_cyclic_dcds,
+     "mu Z. ((E x. live(x) & Q(x)) | <-> Z)", {"force": True}),
+    ("det-keep-ts-off", "ex41", REACH_A, {"keep_ts": False}),
+    ("det-workers-2",
+     lambda: random_dcds(1, shape="weakly-acyclic",
+                         semantics=ServiceSemantics.DETERMINISTIC),
+     reachability_formula, {"workers": 2}),
+    ("det-quotient", lambda: random_dcds(0),
+     "mu Z. ((E x. live(x) & R0(x)) | <-> Z)", {"symmetry": "quotient"}),
+    ("det-memory-budget", "ex41", REACH_A,
+     {"memory_budget": 96 * 1024}),
+    ("det-memory-budget-on-the-fly", "ex41", REACH_A,
+     {"memory_budget": 96 * 1024, "on_the_fly": True}),
+    ("det-checkpoint", "ex41", REACH_A, {"checkpoint": True}),
+    ("rcycl-on-the-fly", "students",
+     "nu X. (Status('idle') & [-] X)", {"on_the_fly": True}),
+    ("rcycl-forced", "students",
+     lambda _: property_eventual_graduation_mu_la(), {"force": True}),
+    ("rcycl-library", library_system,
+     lambda _: property_loaned_books_off_shelf(), {}),
+    ("mixed-forced", mixed_dcds,
+     "mu Z. ((E x, y. live(x) & live(y) & S(x, y)) | <-> Z)",
+     {"force": True, "max_states": 4000}),
+] + [
+    (f"gallery-{fixture}-{kind}{i}", fixture, formula_text, {})
+    for i, (fixture, formula_text, kind) in enumerate(GALLERY_CASES)
+]
+
+
+def kill_switch_inputs(request, dcds_source, formula_source):
+    """Resolve one case's (dcds, formula)."""
+    dcds = request.getfixturevalue(dcds_source) \
+        if isinstance(dcds_source, str) else dcds_source()
+    formula = parse_mu(formula_source) \
+        if isinstance(formula_source, str) else formula_source(dcds)
+    return dcds, formula
+
+
+def checking_drift_view(stats):
+    """``checking_stats`` minus the witness entry, with wall-clock
+    durations masked: the rest must not move with the switch."""
+    return {key: None if key.endswith("_sec") else value
+            for key, value in stats.items() if key != "witness"}
+
+
+def assert_switch_invisible(request, tmp_path, dcds_source, formula_source,
+                            options):
+    """Verify with and without ``REPRO_NO_WITNESS=1``: only the
+    certificate may differ. Returns the enabled-side report."""
+    reports = {}
+    for forced in (None, "1"):
+        dcds, formula = kill_switch_inputs(
+            request, dcds_source, formula_source)
+        kwargs = dict(options)
+        kwargs.setdefault("max_states", MAX_STATES)
+        if kwargs.get("checkpoint"):
+            kwargs["checkpoint"] = str(tmp_path / f"ck-{forced}")
+        with forced_env("REPRO_NO_WITNESS", forced):
+            clear_subproblem_caches()
+            reports[forced] = verify(dcds, formula, **kwargs)
+    clear_subproblem_caches()
+    enabled, disabled = reports[None], reports["1"]
+    assert enabled.checking_stats["witness"]["enabled"] is True
+    assert disabled.witness is None and disabled.violation is None
+    assert disabled.checking_stats["witness"] == {"enabled": False}
+    # Zero behavioral drift: verdict, route, build and checking counters
+    # unchanged.
+    assert disabled.holds == enabled.holds
+    assert disabled.route == enabled.route
+    assert disabled.abstraction_stats["states"] \
+        == enabled.abstraction_stats["states"]
+    assert disabled.abstraction_stats["edges"] \
+        == enabled.abstraction_stats["edges"]
+    assert checking_drift_view(disabled.checking_stats) \
+        == checking_drift_view(enabled.checking_stats)
+    return enabled
+
+
 class TestKillSwitch:
-    def test_no_witness_disables_extraction_without_drift(self, ex41):
-        formula = parse_mu("mu Z. (R('a') | <-> Z)")
-        with witnesses_on():
-            enabled = verify(ex41, formula, max_states=MAX_STATES)
-        with forced_env("REPRO_NO_WITNESS", "1"):
-            disabled = verify(ex41, formula, max_states=MAX_STATES)
+    """``REPRO_NO_WITNESS=1`` drops the certificate and nothing else, on
+    every ``verify()`` route and option combination."""
+
+    def test_no_witness_disables_extraction_without_drift(self, request,
+                                                          tmp_path):
+        enabled = assert_switch_invisible(request, tmp_path, "ex41",
+                                          REACH_A, {})
         assert enabled.witness is not None
-        assert disabled.witness is None and disabled.violation is None
-        assert disabled.checking_stats["witness"] == {"enabled": False}
-        # Zero behavioral drift: verdict, route, and build unchanged.
-        assert disabled.holds == enabled.holds
-        assert disabled.route == enabled.route
-        assert disabled.abstraction_stats["states"] \
-            == enabled.abstraction_stats["states"]
-        assert disabled.abstraction_stats["edges"] \
-            == enabled.abstraction_stats["edges"]
+
+    @pytest.mark.parametrize(
+        "dcds_source,formula_source,options",
+        [case[1:] for case in KILL_SWITCH_CASES],
+        ids=[case[0] for case in KILL_SWITCH_CASES])
+    def test_every_route_and_option(self, request, tmp_path, dcds_source,
+                                    formula_source, options):
+        assert_switch_invisible(request, tmp_path, dcds_source,
+                                formula_source, options)
 
 
 # ---------------------------------------------------------------------------
