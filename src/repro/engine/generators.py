@@ -173,8 +173,10 @@ def warm_frontier_block(generator, key, states: Sequence[State]) -> None:
         return
     memo = kernel.successor_memo(key)
     pending = [state for state in states if state not in memo]
-    instances = list(dict.fromkeys(
-        getattr(state, "instance", state) for state in pending))
+    # Distinct objects, not values: grounding results ride the instance
+    # object (see RelationalKernel._own), so every one must be warmed.
+    instances = list({id(instance): instance for instance in (
+        getattr(state, "instance", state) for state in pending)}.values())
     if len(instances) < vector.MIN_BATCH_GROUPS \
             or sum(len(instance) for instance in instances) \
             < vector.MIN_BATCH_TUPLES:

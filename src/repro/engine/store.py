@@ -13,10 +13,12 @@ with one *memory budget* shared by three accounts:
     the dense state id that discovery order already assigns. Cold states
     are rehydrated from their page on demand.
 ``memos``
-    The kernel's fact/instance/DO memos
+    The kernel's memos keyed across instances — the instance interner,
+    the evaluation, canonical-labeling, successor and ``DO`` memos
     (:meth:`~repro.relational.kernel.RelationalKernel.attach_memo_budget`)
     wrapped in :class:`BudgetedDict`: pure caches whose eviction only
-    costs recomputation, never correctness.
+    costs recomputation, never correctness. Per-instance grounding caches
+    ride the :class:`~repro.relational.instance.Instance` object instead.
 ``interner``
     The symmetry :class:`~repro.engine.interning.StateInterner`'s
     exact-hit instance cache (class identity itself stays resident — a
@@ -69,9 +71,15 @@ from repro.semantics.transition_system import State, TransitionSystem
 #: mmap covers.
 PAGE_BYTES = 1 << 20
 
-#: Hot-entry cost model: a rehydrated state object graph is roughly this
-#: many times its compressed frame (measured on the gallery workloads),
-#: floored so tiny states still pay their object headers.
+#: Hot-entry cost model: a hot state is charged this many times its
+#: compressed frame, floored so tiny states still pay their object
+#: headers. That prices the bare rehydrated graph (state, instance, fact
+#: set: 9-30x the frame on the warehouse and conveyor workloads). Once
+#: expanded, the instance also carries the kernel's per-instance caches
+#: and the graph measures 140-215x its frame (warehouse(2, payload=120):
+#: ~86-116 KB for a 605 B frame). Charging that ratio does not pay: a
+#: factor of 40 or 150 raises that build's rehydrations at 1 MiB from
+#: 161 to 508 or 733 and its CPU by ~12%, for no lower peak RSS.
 HOT_BYTES_FACTOR = 12
 HOT_BYTES_FLOOR = 512
 

@@ -110,8 +110,14 @@ class Instance:
     value renaming. Hashable, so instances can be transition-system states.
     """
 
+    # The ``_owner`` .. ``_grounded`` slots are the relational kernel's
+    # caches of this instance (codes, coded facts, a pending instance's
+    # fact entries, grounding results): they live exactly as long as the
+    # instance. ``_owner`` is the token of the kernel that filled them;
+    # the kernel resets the others whenever it claims the instance.
     __slots__ = ("_facts", "_adom", "_hash", "_by_relation", "_indexes",
-                 "_sorted", "_calls", "_schema_ok")
+                 "_sorted", "_calls", "_schema_ok", "_owner", "_coded",
+                 "_coded_facts", "_entries", "_grounded")
 
     def __init__(self, facts: Iterable[Fact] = ()):
         normalized = []
@@ -135,6 +141,7 @@ class Instance:
         self._sorted = None
         self._calls = None
         self._schema_ok = None
+        self._owner = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -195,8 +202,9 @@ class Instance:
         return "{" + rendered + "}"
 
     def __reduce__(self):
-        # Ship only the fact set; lazy views (adom, indexes, hash) rebuild
-        # in the receiving process so hashes use its own PYTHONHASHSEED.
+        # Ship only the fact set; lazy views (adom, indexes, hash) and the
+        # kernel caches rebuild in the receiving process, so hashes use its
+        # own PYTHONHASHSEED and codes its own term table.
         return _rebuild_instance, (tuple(self._facts),)
 
     # -- semantics -------------------------------------------------------------

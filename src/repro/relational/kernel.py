@@ -209,7 +209,7 @@ class _RuleContext:
     """Everything precomputed for one condition-action rule."""
 
     __slots__ = ("plan", "params", "param_slots", "answer_slots",
-                 "param_positions", "by_instance")
+                 "param_positions")
 
     def __init__(self, plan: CompiledQuery, params: Tuple[Param, ...]):
         self.plan = plan
@@ -229,14 +229,13 @@ class _RuleContext:
                  for position, slot in enumerate(self.answer_slots)}
         self.param_positions = tuple(order[slot]
                                      for slot in self.param_slots)
-        self.by_instance: Dict[Instance, tuple] = {}
 
 
 class _SigmaContext:
     """One effect under one parameter substitution: bound registers, the
-    evaluation-domain extras, the resolved head, per-instance results."""
+    evaluation-domain extras, the resolved head."""
 
-    __slots__ = ("regs", "extra", "head", "needed_slots", "by_instance")
+    __slots__ = ("regs", "extra", "head", "needed_slots")
 
     def __init__(self, regs: List[int], extra: FrozenSet[int], head: tuple):
         self.regs = regs
@@ -252,7 +251,6 @@ class _SigmaContext:
                 for spec in specs:
                     _collect_head_slots(spec, slots)
         self.needed_slots: Tuple[int, ...] = tuple(sorted(slots))
-        self.by_instance: Dict[Instance, FrozenSet[Fact]] = {}
 
 
 class _EffectContext:
@@ -337,9 +335,10 @@ class RelationalKernel:
         self._fact_codes: Dict[Fact, Tuple[int, Tuple[int, ...], bool]] = {}
         self._calls: Dict[Tuple[str, Tuple[int, ...]], int] = {}
         self._instances: Dict[FrozenSet[CodedFact], Instance] = {}
-        self._coded: Dict[Instance, CodedInstance] = {}
-        self._coded_facts: Dict[Instance, FrozenSet[CodedFact]] = {}
-        self._pending_entries: Dict[Instance, tuple] = {}
+        #: Owner token of the per-instance caches this kernel keeps on the
+        #: Instance objects themselves (see _own); clear_caches replaces
+        #: it, which invalidates every one of them at once.
+        self._token = object()
         self._eval_memo: Dict[tuple, Tuple[bool, Optional[Instance]]] = {}
         self._successor_memos: Dict[Any, dict] = {}
         self._canonical_memo: Dict[tuple, Dict[Any, Fresh]] = {}
@@ -462,15 +461,10 @@ class RelationalKernel:
         self._fact_codes.clear()
         self._calls.clear()
         self._instances.clear()
-        self._coded.clear()
-        self._coded_facts.clear()
-        self._pending_entries.clear()
+        self._token = object()
         self._eval_memo.clear()
         self._successor_memos.clear()
         self._canonical_memo.clear()
-        for rule_context in self._rule_contexts:
-            if rule_context is not None:
-                rule_context.by_instance.clear()
         for effect_context in self._effect_contexts:
             if effect_context is not None:
                 effect_context.sigmas.clear()
@@ -482,9 +476,9 @@ class RelationalKernel:
     def _budget_memo(self, mapping):
         """``mapping`` as-is, or budget-wrapped when a budget is attached.
 
-        Creation hook for the lazily built memo dicts (per-sigma contexts,
-        per-configuration successor memos): with a budget attached they
-        must be born evictable, not just retrofitted by attach.
+        Creation hook for the lazily built per-configuration successor
+        memos: with a budget attached they must be born evictable, not
+        just retrofitted by attach.
         """
         if self._memo_budget is None:
             return mapping
@@ -503,26 +497,20 @@ class RelationalKernel:
         bit-identity contract of the accelerator tiers). The fact/call
         interners (``_facts``/``_fact_codes``/``_calls``) stay resident:
         they are identity anchors, and their entries are tiny.
+
+        Per-instance caches (codes, grounding results) are not wrapped:
+        they ride the :class:`Instance` (see :meth:`_own`), bounded by
+        whatever holds it — the ``hot`` LRU, a memo here, or the frontier
+        block being warmed and expanded.
         """
         self._memo_budget = budget
         wrap = self._budget_memo
         self._instances = wrap(self._instances)
-        self._coded = wrap(self._coded)
-        self._coded_facts = wrap(self._coded_facts)
-        self._pending_entries = wrap(self._pending_entries)
         self._eval_memo = wrap(self._eval_memo)
         self._canonical_memo = wrap(self._canonical_memo)
         self._successor_memos = {
             key: wrap(memo)
             for key, memo in self._successor_memos.items()}
-        for rule_context in self._rule_contexts:
-            if rule_context is not None:
-                rule_context.by_instance = wrap(rule_context.by_instance)
-        for effect_context in self._effect_contexts:
-            if effect_context is not None:
-                for sigma_context in effect_context.sigmas.values():
-                    sigma_context.by_instance = wrap(
-                        sigma_context.by_instance)
         for action_context in self._action_contexts:
             action_context.by_key = wrap(action_context.by_key)
 
@@ -541,27 +529,40 @@ class RelationalKernel:
             return mapping
 
         self._instances = unwrap(self._instances)
-        self._coded = unwrap(self._coded)
-        self._coded_facts = unwrap(self._coded_facts)
-        self._pending_entries = unwrap(self._pending_entries)
         self._eval_memo = unwrap(self._eval_memo)
         self._canonical_memo = unwrap(self._canonical_memo)
         self._successor_memos = {
             key: unwrap(memo)
             for key, memo in self._successor_memos.items()}
-        for rule_context in self._rule_contexts:
-            if rule_context is not None:
-                rule_context.by_instance = unwrap(rule_context.by_instance)
-        for effect_context in self._effect_contexts:
-            if effect_context is not None:
-                for sigma_context in effect_context.sigmas.values():
-                    sigma_context.by_instance = unwrap(
-                        sigma_context.by_instance)
         for action_context in self._action_contexts:
             action_context.by_key = unwrap(action_context.by_key)
 
     def __reduce__(self):
         return _unpickle_kernel_placeholder, ()
+
+    # -- per-instance caches --------------------------------------------------
+
+    def _own(self, instance: Instance) -> Instance:
+        """``instance`` with its kernel-cache slots claimed for this kernel.
+
+        Codes are only meaningful against one term table, and an instance
+        can reach two kernels (the registry shares and rebuilds them), so
+        entries left by another kernel — or by this one before
+        :meth:`clear_caches` — are a miss: claiming resets them.
+        """
+        if instance._owner is not self._token:
+            instance._owner = self._token
+            instance._coded = instance._coded_facts = None
+            instance._entries = instance._grounded = None
+        return instance
+
+    def _grounded(self, instance: Instance) -> dict:
+        """``instance``'s grounding results, keyed by rule/sigma context
+        (built on first use: pending instances never need one)."""
+        found = self._own(instance)._grounded
+        if found is None:
+            found = instance._grounded = {}
+        return found
 
     # -- encoding ------------------------------------------------------------
 
@@ -607,9 +608,9 @@ class RelationalKernel:
 
     def encode_instance(self, instance: Instance) -> CodedInstance:
         """The coded form of an instance (cached per instance)."""
-        found = self._coded.get(instance)
+        found = self._own(instance)._coded
         if found is None:
-            facts = self._coded_facts.get(instance)
+            facts = instance._coded_facts
             if facts is not None:
                 found = CodedInstance.from_coded_facts(facts)
             else:
@@ -620,7 +621,7 @@ class RelationalKernel:
                 found = CodedInstance(
                     {relation: tuple(codes) for relation, codes in
                      grouped.items()})
-            self._coded[instance] = found
+            instance._coded = found
         return found
 
     def coded_fact_set(self, instance: Instance) -> FrozenSet[CodedFact]:
@@ -628,15 +629,15 @@ class RelationalKernel:
         :class:`CodedInstance` (per-relation grouping and join indexes are
         only needed by evaluation — the wire codec just needs identities).
         """
-        found = self._coded_facts.get(instance)
+        found = self._own(instance)._coded_facts
         if found is None:
-            coded = self._coded.get(instance)
+            coded = instance._coded
             if coded is not None:
                 found = coded.fact_set()
             else:
                 found = frozenset(
                     self.encode_fact(fact)[:2] for fact in instance)
-            self._coded_facts[instance] = found
+            instance._coded_facts = found
         return found
 
     def intern_instance(self, facts: Iterable[Fact]) -> Instance:
@@ -658,7 +659,7 @@ class RelationalKernel:
             self._instances[coded] = found
             # The CodedInstance (grouping + indexes) is built lazily by
             # encode_instance when evaluation first needs it.
-            self._coded_facts[found] = coded
+            self._own(found)._coded_facts = coded
             self.stats["instances_interned"] += 1
         else:
             self.stats["instance_reuses"] += 1
@@ -679,13 +680,13 @@ class RelationalKernel:
         if context is None or context.params != params:
             self.stats["fallbacks"] += 1
             return None
-        found = context.by_instance.get(instance)
+        results = self._grounded(instance)
+        found = results.get(context)
         if found is not None:
             return found
         self.stats["legal_evals"] += 1
-        result = self._legal_eval(context, params, instance)
-        context.by_instance[instance] = result
-        return result
+        found = results[context] = self._legal_eval(context, params, instance)
+        return found
 
     def _legal_eval(self, context: _RuleContext, params: Tuple[Param, ...],
                     instance: Instance) -> Tuple[SigmaItems, ...]:
@@ -746,16 +747,15 @@ class RelationalKernel:
         sigma_context = context.sigmas.get(sigma_items)
         if sigma_context is None:
             sigma_context = self._bind_sigma(context, sigma_items)
-            sigma_context.by_instance = self._budget_memo(
-                sigma_context.by_instance)
             context.sigmas[sigma_items] = sigma_context
-        found = sigma_context.by_instance.get(instance)
+        results = self._grounded(instance)
+        found = results.get(sigma_context)
         if found is not None:
             return found
         self.stats["effect_evals"] += 1
-        result = self._effect_eval(context, sigma_context, instance)
-        sigma_context.by_instance[instance] = result
-        return result
+        found = results[sigma_context] = self._effect_eval(
+            context, sigma_context, instance)
+        return found
 
     def _effect_eval(self, context: _EffectContext,
                      sigma_context: _SigmaContext, instance: Instance
@@ -899,7 +899,7 @@ class RelationalKernel:
         indexed returns ``None`` (caller takes the reference path).
 
         ``CALLS(I)`` of the pending instance is filled from the coded facts
-        (the call codes of its terms), and the coded facts are kept for
+        (the call codes of its terms), and its coded facts stay on it for
         :meth:`evaluate_calls`, so no step scans the facts' terms for calls.
         Heads never nest calls (``_head_spec`` refuses them, the reference
         path through ``is_ground``), so every call is a whole term.
@@ -925,7 +925,7 @@ class RelationalKernel:
         pending._calls = frozenset(
             table.term(code) for _, codes, has_call in entries if has_call
             for code in codes if table.is_call(code))
-        self._pending_entries[pending] = entries
+        self._own(pending)._entries = entries
         context.by_key[key] = pending
         return pending
 
@@ -986,22 +986,28 @@ class RelationalKernel:
         return key
 
     def _warm_plan(self, plan: CompiledQuery, regs: Optional[List[int]],
-                   extra: FrozenSet[int], memo: dict,
+                   extra: FrozenSet[int], context,
                    instances: Iterable[Instance], convert, evaluate,
                    stat_key: str) -> None:
-        """Fill ``memo`` for every not-yet-memoized instance in one pass.
+        """Fill ``context``'s grounding result of every instance that has
+        none yet, in one pass.
 
         Instances are grouped by :meth:`_group_key`; one representative
         per group is evaluated — all representatives in a single
         :func:`vector.binding_matrix_batch` call when the backend
         cooperates (``convert`` maps each per-group answer split to the
-        memo value), else per representative via ``evaluate`` (the same
+        result), else per representative via ``evaluate`` (the same
         pure evaluator the per-state entry uses). Results fan out to every
         group member, bumping the per-state counter ``stat_key`` once per
         member so batch-on and batch-off report identical kernel stats.
         """
-        todo = [instance for instance in dict.fromkeys(instances)
-                if instance not in memo]
+        # Results ride the instance objects, so dedup is by identity: an
+        # equal but distinct object (a worker's unpickled copy, a state
+        # re-interned after a budget eviction) joins its twin's group
+        # instead of missing later.
+        unique = {id(instance): instance for instance in instances}
+        todo = [instance for instance in unique.values()
+                if context not in self._grounded(instance)]
         if not todo:
             return
         groups: "OrderedDict[tuple, List[Instance]]" = OrderedDict()
@@ -1032,14 +1038,14 @@ class RelationalKernel:
             members = groups[key]
             for member in members:
                 self.stats[stat_key] += 1
-                memo[member] = result
+                self._grounded(member)[context] = result
             self.batch_stats["warmed_entries"] += len(members)
             self.batch_stats["dedup_hits"] += len(members) - 1
 
     def warm_legal_substitutions(self, rule, params: Tuple[Param, ...],
                                  instances: Iterable[Instance]) -> None:
         """Batch twin of :meth:`legal_substitution_items` over a frontier
-        block: one columnar pass fills the same per-instance memo the
+        block: one columnar pass fills the same per-instance results the
         per-state entry reads, so the later per-state calls are hits and
         results stay bit-identical by construction. A no-op for rules the
         kernel could not compile (the per-state calls fall back to the
@@ -1058,14 +1064,14 @@ class RelationalKernel:
 
         self._warm_plan(
             context.plan, None, self.initial_adom_codes,
-            context.by_instance, instances, convert,
+            context, instances, convert,
             lambda instance: self._legal_eval(context, params, instance),
             "legal_evals")
 
     def warm_ground_effects(self, effect, sigma_items: SigmaItems,
                             instances: Iterable[Instance]) -> None:
         """Batch twin of :meth:`ground_effect` over the frontier states
-        sharing one ``(effect, sigma)``; same memo-warming contract as
+        sharing one ``(effect, sigma)``; same warming contract as
         :meth:`warm_legal_substitutions`."""
         context = self._effects.get(id(effect))
         if context is None or env.batch_disabled():
@@ -1076,8 +1082,6 @@ class RelationalKernel:
                 sigma_context = self._bind_sigma(context, sigma_items)
             except IllegalParameters:
                 return  # the per-state call raises where batch-off would
-            sigma_context.by_instance = self._budget_memo(
-                sigma_context.by_instance)
             context.sigmas[sigma_items] = sigma_context
 
         def convert(split):
@@ -1087,7 +1091,7 @@ class RelationalKernel:
 
         self._warm_plan(
             context.body, sigma_context.regs, sigma_context.extra,
-            sigma_context.by_instance, instances, convert,
+            sigma_context, instances, convert,
             lambda instance: self._effect_eval(
                 context, sigma_context, instance),
             "effect_evals")
@@ -1121,10 +1125,10 @@ class RelationalKernel:
         found = self._eval_memo.get(memo_key)
         if found is not None:
             return found
-        entries = self._pending_entries.get(pending)
+        entries = self._own(pending)._entries
         if entries is None:
-            entries = tuple(self.encode_fact(fact) for fact in pending)
-            self._pending_entries[pending] = entries
+            entries = pending._entries = tuple(
+                self.encode_fact(fact) for fact in pending)
         get = mapping.get
         coded_facts = set()
         for relation, codes, has_call in entries:

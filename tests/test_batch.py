@@ -233,6 +233,24 @@ class TestMemoWarming:
         assert batch["blocks"] == 1
         assert batch["warmed_entries"] > 0
 
+    def test_equal_instances_are_warmed_per_object(self, monkeypatch):
+        # Results ride the instance object, so a value-equal twin (a
+        # worker's unpickled copy, a state re-interned under a memory
+        # budget) is warmed with its group instead of missing later.
+        monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
+        instances = frontier_block(conveyor_dcds(1))
+        twins = [Instance._trusted(instance.facts)
+                 for instance in instances]
+        clear_subproblem_caches()
+        dcds = conveyor_dcds(1)
+        kernel = kernel_for(dcds)
+        warm_frontier_block(DetAbstractionGenerator(dcds), ("twins",),
+                            instances + twins)
+        stats = dict(kernel.stats)
+        grounding_tables(dcds, twins, warm=False)
+        assert kernel.stats["legal_evals"] == stats["legal_evals"]
+        assert kernel.stats["effect_evals"] == stats["effect_evals"]
+
     def test_cross_state_dedup_accounting(self, monkeypatch):
         monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
         instances = frontier_block(conveyor_dcds(1))

@@ -30,7 +30,7 @@ from repro.relational.coding import CodedInstance, TermTable
 from repro.relational.instance import Instance, fact
 from repro.relational.kernel import (
     RelationalKernel, clear_kernel_caches, kernel_for)
-from repro.relational.values import Var
+from repro.relational.values import Fresh, Var
 from repro.semantics import build_det_abstraction, rcycl
 from repro.semantics.concrete import explore_concrete
 from repro.workloads import chain_dcds, commitment_blowup_dcds, random_dcds
@@ -288,14 +288,102 @@ class TestCodedCallSet:
                                  max_states=3000)
         assert _assert_coded_calls(pendings) > 0
 
-    def test_pending_codes_kept_for_evaluate_calls(self):
+    def test_pending_codes_kept_for_evaluate_calls(self, monkeypatch):
         dcds = example_41()
         kernel = kernel_for(dcds)
         moves = list(enabled_moves(dcds, dcds.initial))
         assert moves
-        for action, sigma in moves:
-            pending = do_action(dcds, dcds.initial, action, sigma)
-            assert pending in kernel._pending_entries
+        pendings = [do_action(dcds, dcds.initial, action, sigma)
+                    for action, sigma in moves]
+        assert any(pending.service_calls() for pending in pendings)
+        encoded = []
+        original = RelationalKernel.encode_fact
+
+        def counting(self, fact):
+            encoded.append(fact)
+            return original(self, fact)
+
+        monkeypatch.setattr(RelationalKernel, "encode_fact", counting)
+        before = kernel.stats["evaluate_calls"]
+        for pending in pendings:
+            calls = sorted(pending.service_calls(), key=repr)
+            evaluate_calls(dcds, pending, {
+                call: Fresh(90 + position)
+                for position, call in enumerate(calls)})
+        # The kernel path ran, and read the codes DO left on each pending
+        # instance instead of re-encoding its facts.
+        assert kernel.stats["evaluate_calls"] == before + len(pendings)
+        assert encoded == []
+
+
+def _decoded(kernel, coded_facts) -> set:
+    term = kernel.table.term
+    return {fact(term(relation), *(term(code) for code in codes))
+            for relation, codes in coded_facts}
+
+
+@pytest.mark.skipif(bool(os.environ.get("REPRO_NO_KERNEL")),
+                    reason="exercises the kernel itself")
+class TestInstanceCacheOwnership:
+    """Kernel caches ride the Instance object, owned by one kernel."""
+
+    def grounded(self, kernel, dcds, instance):
+        rule = dcds.process.rules[0]
+        action = dcds.process.action(rule.action)
+        items = kernel.legal_substitution_items(rule, action.params,
+                                                instance)
+        assert items
+        return items, kernel.ground_effect(action.effects[0], items[0],
+                                           instance)
+
+    def test_two_kernels_keep_their_own_codes(self):
+        dcds = example_41()
+        first = RelationalKernel(dcds)
+        second = RelationalKernel(dcds)
+        second.table.code("shift")  # later terms code differently here
+        instance = Instance.of(fact("P", "u"), fact("Q", "u", "v"))
+        for kernel in (first, second, first, second):
+            assert _decoded(kernel, kernel.coded_fact_set(instance)) \
+                == set(instance.facts)
+            assert _decoded(kernel,
+                            kernel.encode_instance(instance).fact_set()) \
+                == set(instance.facts)
+        assert first.coded_fact_set(instance) \
+            != second.coded_fact_set(instance)
+        assert self.grounded(first, dcds, instance) \
+            == self.grounded(second, dcds, instance)
+
+    def test_clear_caches_drops_every_cached_result(self):
+        dcds = example_41()
+        kernel = kernel_for(dcds)
+        instance = Instance.of(*dcds.initial.facts)
+        coded = kernel.encode_instance(instance)
+        grounded = self.grounded(kernel, dcds, instance)
+        stats = dict(kernel.stats)
+        assert kernel.encode_instance(instance) is coded
+        assert self.grounded(kernel, dcds, instance) == grounded
+        assert kernel.stats == stats  # warm: every lookup hit
+        clear_kernel_caches()
+        assert kernel.encode_instance(instance) is not coded
+        assert self.grounded(kernel, dcds, instance) == grounded
+        assert kernel.stats["legal_evals"] == stats["legal_evals"] + 1
+        assert kernel.stats["effect_evals"] == stats["effect_evals"] + 1
+
+    def test_pickled_instance_carries_no_cache(self):
+        import pickle
+
+        dcds = example_41()
+        kernel = kernel_for(dcds)
+        instance = Instance.of(*dcds.initial.facts)
+        coded = kernel.encode_instance(instance)
+        self.grounded(kernel, dcds, instance)
+        restored = pickle.loads(pickle.dumps(instance))
+        assert restored == instance
+        assert restored._owner is None
+        legal_evals = kernel.stats["legal_evals"]
+        assert kernel.encode_instance(restored) is not coded
+        self.grounded(kernel, dcds, restored)
+        assert kernel.stats["legal_evals"] == legal_evals + 1
 
 
 @pytest.mark.skipif(bool(os.environ.get("REPRO_NO_KERNEL")),

@@ -25,10 +25,10 @@ from repro.engine.store import (
     approx_nbytes)
 from repro.errors import ReproError, WireIntegrityError
 from repro.mucalc import parse_mu
-from repro.relational.kernel import kernel_for
+from repro.relational.kernel import clear_kernel_caches, kernel_for
 from repro.relational.values import Fresh
 from repro.semantics import build_det_abstraction, explore_concrete
-from repro.workloads import conveyor_dcds
+from repro.workloads import conveyor_dcds, warehouse_dcds
 
 TIGHT = 96 * 1024
 
@@ -446,6 +446,29 @@ class TestKernelMemoBudget:
         reprs = [repr(state) for state in baseline]
         assert [repr(state) for state in budgeted] == reprs
         assert [repr(state) for state in after] == reprs
+
+
+    @pytest.mark.parametrize("factory, budget", [
+        (lambda: warehouse_dcds(1, payload=40), 64 << 10),
+        (lambda: conveyor_dcds(2), TIGHT),
+    ], ids=["warehouse-1-payload-40", "conveyor-2"])
+    def test_budget_keeps_warmed_grounding(self, factory, budget,
+                                           monkeypatch):
+        """Grounding results warmed for a frontier block ride the states'
+        instances, so no budget evicts them before expansion reads them:
+        the budgeted build evaluates exactly as often as the plain one."""
+        kernel_or_skip(factory())
+        monkeypatch.delenv("REPRO_MEMORY_BUDGET", raising=False)
+        counts = []
+        for memory_budget in (None, budget):
+            clear_kernel_caches()
+            ts = build_det_abstraction(factory(),
+                                       memory_budget=memory_budget)
+            assert bool(ts.exploration_stats.get("store")) \
+                == (memory_budget is not None)
+            kernel = ts.exploration_stats["kernel"]
+            counts.append((kernel["legal_evals"], kernel["effect_evals"]))
+        assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------
