@@ -268,8 +268,10 @@ def do_action(
 
     The result may contain ground service-call terms awaiting evaluation.
     On the kernel path the pending instance is shared per
-    ``(action, sigma, instance)``, so its service-call set and coded form
-    stay warm when isomorphic regions of the state space replay the action.
+    ``(action, sigma, instance)``, so its service-call set (decided once,
+    without a fact scan on a call-free step) and the codes of its
+    call-bearing facts stay warm when isomorphic regions of the state
+    space replay the action.
     """
     declared = frozenset(action.params)
     if frozenset(sigma) != declared:
@@ -306,10 +308,13 @@ def evaluate_calls(
     some equality constraint (such successors do not exist — condition 4 of
     EXECS / N-EXECS).
 
-    On the kernel path the substitution and constraint check run over
-    integer codes and the successor comes back from the instance interner:
-    every distinct successor instance is materialized (and hashed) once per
-    process, and constraint-violating evaluations never materialize one.
+    On the kernel path only the pending's call-bearing facts are rewritten
+    (over integer codes; a call-free step rewrites nothing) and the
+    successor comes back from the instance interner, keyed by its fact
+    set: every distinct successor instance is interned (and hashed) once
+    per process. A successor not interned yet is checked against the
+    constraints as a candidate shell, and a violating one is never
+    interned.
     """
     kernel = kernel_for(dcds)
     if kernel is not None:

@@ -143,8 +143,8 @@ class CodedInstance:
     but over small ints.
     """
 
-    __slots__ = ("by_relation", "_indexes", "_adom", "_domains", "_fact_set",
-                 "_sets", "_columns", "_vector")
+    __slots__ = ("by_relation", "_indexes", "_adom", "_holds_calls",
+                 "_domains", "_fact_set", "_sets", "_columns", "_vector")
 
     def __init__(self, by_relation: Dict[int, Tuple[Tuple[int, ...], ...]]):
         # Tuples sorted per relation: deterministic iteration for any
@@ -153,6 +153,7 @@ class CodedInstance:
                             for relation, tuples in by_relation.items()}
         self._indexes: Optional[dict] = None
         self._adom: Optional[FrozenSet[int]] = None
+        self._holds_calls = False
         #: Per-(plan, extra-codes) evaluation-domain cache, mirroring
         #: ``fol.evaluation._domain_cached`` (see CompiledQuery.domain).
         self._domains: dict = {}
@@ -222,22 +223,30 @@ class CodedInstance:
 
         Ground-service-call terms contribute their (already coded) value
         arguments, not themselves — the coded mirror of
-        ``Instance.active_domain``.
+        ``Instance.active_domain``. One pass over the *distinct* codes
+        also records whether any of them is a call (:meth:`holds_calls`).
         """
         if self._adom is None:
-            values = set()
+            codes: set = set()
             for tuples in self.by_relation.values():
-                for terms in tuples:
-                    for code in terms:
-                        if table.is_call(code):
-                            call = table.term(code)
-                            values.update(
-                                table.code(arg) for arg in call.args
-                                if is_value(arg))
-                        else:
-                            values.add(code)
-            self._adom = frozenset(values)
+                codes.update(*tuples)
+            is_call = table._is_call
+            calls = [code for code in codes if is_call[code]]
+            self._holds_calls = bool(calls)
+            if calls:
+                codes.difference_update(calls)
+                for code in calls:
+                    codes.update(table.code(arg)
+                                 for arg in table.term(code).args
+                                 if is_value(arg))
+            self._adom = frozenset(codes)
         return self._adom
+
+    def holds_calls(self, table: TermTable) -> bool:
+        """True when some term of the instance is a ground service call."""
+        if self._adom is None:
+            self.adom_codes(table)
+        return self._holds_calls
 
     def fact_set(self) -> FrozenSet[CodedFact]:
         """The instance as a frozenset of coded facts (interning key)."""

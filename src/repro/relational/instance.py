@@ -112,9 +112,10 @@ class Instance:
 
     # The ``_owner`` .. ``_grounded`` slots are the relational kernel's
     # caches of this instance (codes, coded facts, a pending instance's
-    # fact entries, grounding results): they live exactly as long as the
-    # instance. ``_owner`` is the token of the kernel that filled them;
-    # the kernel resets the others whenever it claims the instance.
+    # call-bearing fact entries, grounding results): they live exactly as
+    # long as the instance. ``_owner`` is the token of the kernel that
+    # filled them; the kernel resets the others whenever it claims the
+    # instance.
     __slots__ = ("_facts", "_adom", "_hash", "_by_relation", "_indexes",
                  "_sorted", "_calls", "_schema_ok", "_owner", "_coded",
                  "_coded_facts", "_entries", "_grounded")
@@ -216,16 +217,17 @@ class Instance:
         arguments are included (they occur in the instance).
         """
         if self._adom is None:
-            values = set()
-            add = values.add
-            for current in self._facts:
-                for term in current.terms:
-                    if not isinstance(term, _SYMBOLIC):
-                        add(term)
-                    elif isinstance(term, ServiceCall):
-                        values.update(
+            terms: set = set()
+            terms.update(*[current.terms for current in self._facts])
+            symbolic = [term for term in terms
+                        if isinstance(term, _SYMBOLIC)]
+            if symbolic:
+                terms.difference_update(symbolic)
+                for term in symbolic:
+                    if isinstance(term, ServiceCall):
+                        terms.update(
                             arg for arg in term.args if is_value(arg))
-            self._adom = frozenset(values)
+            self._adom = frozenset(terms)
         return self._adom
 
     adom = active_domain
@@ -298,12 +300,13 @@ class Instance:
         """
         if self._schema_ok is schema:
             return
+        arities = {relation.name: relation.arity for relation in schema}
         for current in self._facts:
-            if current.relation not in schema:
+            expected = arities.get(current.relation)
+            if expected is None:
                 raise InstanceError(
                     f"fact {current!r} uses undeclared relation")
-            expected = schema.arity(current.relation)
-            if current.arity != expected:
+            if len(current.terms) != expected:
                 raise InstanceError(
                     f"fact {current!r} has arity {current.arity}, "
                     f"schema says {expected}")

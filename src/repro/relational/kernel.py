@@ -233,14 +233,17 @@ class _RuleContext:
 
 class _SigmaContext:
     """One effect under one parameter substitution: bound registers, the
-    evaluation-domain extras, the resolved head."""
+    evaluation-domain extras, the resolved head, and whether that head can
+    produce a service-call term by itself (``has_calls``)."""
 
-    __slots__ = ("regs", "extra", "head", "needed_slots")
+    __slots__ = ("regs", "extra", "head", "has_calls", "needed_slots")
 
-    def __init__(self, regs: List[int], extra: FrozenSet[int], head: tuple):
+    def __init__(self, regs: List[int], extra: FrozenSet[int], head: tuple,
+                 has_calls: bool):
         self.regs = regs
         self.extra = extra
         self.head = head
+        self.has_calls = has_calls
         # Body slots the resolved head actually reads ("v" specs, service-
         # call arguments). Fact production is a function of these alone, so
         # the vector path grounds each *distinct* projection once instead
@@ -334,7 +337,7 @@ class RelationalKernel:
         self._facts: Dict[CodedFact, Fact] = {}
         self._fact_codes: Dict[Fact, Tuple[int, Tuple[int, ...], bool]] = {}
         self._calls: Dict[Tuple[str, Tuple[int, ...]], int] = {}
-        self._instances: Dict[FrozenSet[CodedFact], Instance] = {}
+        self._instances: Dict[FrozenSet[Fact], Instance] = {}
         #: Owner token of the per-instance caches this kernel keeps on the
         #: Instance objects themselves (see _own); clear_caches replaces
         #: it, which invalidates every one of them at once.
@@ -614,9 +617,11 @@ class RelationalKernel:
             if facts is not None:
                 found = CodedInstance.from_coded_facts(facts)
             else:
+                fact_codes = self._fact_codes
                 grouped: Dict[int, list] = {}
                 for fact in instance:
-                    relation, codes, _ = self.encode_fact(fact)
+                    relation, codes, _ = fact_codes.get(fact) \
+                        or self.encode_fact(fact)
                     grouped.setdefault(relation, []).append(codes)
                 found = CodedInstance(
                     {relation: tuple(codes) for relation, codes in
@@ -647,19 +652,29 @@ class RelationalKernel:
         domain, and per-position indexes are computed once per distinct
         instance instead of once per arrival.
         """
-        coded = frozenset(self.encode_fact(fact)[:2] for fact in facts)
-        return self._intern_coded_instance(coded)
+        intern_fact = self.intern_fact
+        return self._intern_facts(frozenset(
+            intern_fact(*self.encode_fact(fact)[:2]) for fact in facts))
 
     def _intern_coded_instance(self, coded: FrozenSet[CodedFact]) -> Instance:
-        found = self._instances.get(coded)
+        """:meth:`intern_instance` for coded facts (store and wire
+        decoding): the same interned object, with the coded facts kept."""
+        intern_fact = self.intern_fact
+        found = self._own(self._intern_facts(frozenset(
+            intern_fact(relation, codes) for relation, codes in coded)))
+        found._coded_facts = coded
+        return found
+
+    def _intern_facts(self, facts: FrozenSet[Fact],
+                      shell: Optional[Instance] = None) -> Instance:
+        """The interned instance of a fact set, keyed by the set itself
+        (fact hashes are cached); ``shell``, an owned instance of exactly
+        ``facts``, is interned on a miss."""
+        found = self._instances.get(facts)
         if found is None:
-            found = Instance._trusted(frozenset(
-                self.intern_fact(relation, codes)
-                for relation, codes in coded))
-            self._instances[coded] = found
-            # The CodedInstance (grouping + indexes) is built lazily by
-            # encode_instance when evaluation first needs it.
-            self._own(found)._coded_facts = coded
+            found = shell if shell is not None \
+                else self._own(Instance._trusted(facts))
+            self._instances[facts] = found
             self.stats["instances_interned"] += 1
         else:
             self.stats["instance_reuses"] += 1
@@ -845,15 +860,22 @@ class RelationalKernel:
         # evaluation domain.
         extra = self.initial_adom_codes | frozenset(sigma_codes.values())
         head = []
+        has_calls = False
         for relation, specs in context.head_specs:
             resolved = tuple(self._apply_sigma(spec, sigma)
                              for spec in specs)
+            # A call spec, or a constant that is a ground call (sigma may
+            # complete one); "v" slots read the source instance instead.
+            has_calls = has_calls or any(
+                spec[0] == "call"
+                or (spec[0] == "c" and table.is_call(spec[1]))
+                for spec in resolved)
             ready = None
             if all(spec[0] == "c" for spec in resolved):
                 ready = self.intern_fact(
                     relation, tuple(spec[1] for spec in resolved))
             head.append((relation, resolved, ready))
-        return _SigmaContext(regs, extra, tuple(head))
+        return _SigmaContext(regs, extra, tuple(head), has_calls)
 
     def _apply_sigma(self, spec, sigma: Dict[Param, Any]):
         kind = spec[0]
@@ -898,11 +920,17 @@ class RelationalKernel:
         effect could not be compiled; an action object the kernel has never
         indexed returns ``None`` (caller takes the reference path).
 
-        ``CALLS(I)`` of the pending instance is filled from the coded facts
-        (the call codes of its terms), and its coded facts stay on it for
-        :meth:`evaluate_calls`, so no step scans the facts' terms for calls.
-        Heads never nest calls (``_head_spec`` refuses them, the reference
-        path through ``is_ground``), so every call is a whole term.
+        ``CALLS(I)`` of the pending instance is decided once here. The
+        step is *call-free* when every effect compiled, no sigma-resolved
+        head can produce a call (``_SigmaContext.has_calls``) and the
+        source instance holds no call term a head variable could copy:
+        then ``CALLS(I) = ∅`` with no scan of the facts, and
+        :meth:`evaluate_calls` looks the successor up by the pending's
+        fact set. Otherwise the call-bearing facts keep their codes on the
+        pending (:meth:`_call_entries`) and ``CALLS(I)`` is their call
+        codes. Heads never nest calls (``_head_spec`` refuses them, the
+        reference path through ``is_ground``), so every call is a whole
+        term.
         """
         context = self._actions.get(id(action))
         if context is None:
@@ -912,22 +940,43 @@ class RelationalKernel:
         if found is not None:
             return found
         produced: set = set()
+        call_free = True
         for effect in context.effects:
             facts = self.ground_effect(effect, sigma_items, instance)
             if facts is None:
                 facts = fallback(effect)
+                call_free = False
+            elif call_free:
+                call_free = not self._effects[id(effect)].sigmas[
+                    sigma_items].has_calls
             produced.update(facts)
-        pending = Instance._trusted(frozenset(produced))
-        fact_codes = self._fact_codes
-        entries = tuple(fact_codes.get(fact) or self.encode_fact(fact)
-                        for fact in pending)
         table = self.table
-        pending._calls = frozenset(
-            table.term(code) for _, codes, has_call in entries if has_call
-            for code in codes if table.is_call(code))
-        self._own(pending)._entries = entries
+        if call_free:
+            call_free = not self.encode_instance(instance).holds_calls(table)
+        pending = self._own(Instance._trusted(frozenset(produced)))
+        if call_free:
+            entries = ()
+            pending._calls = frozenset()
+        else:
+            entries = self._call_entries(pending)
+            pending._calls = frozenset(
+                table.term(code) for _, _, codes in entries
+                for code in codes if table.is_call(code))
+        pending._entries = entries
         context.by_key[key] = pending
         return pending
+
+    def _call_entries(self, pending: Instance) -> tuple:
+        """``(fact, relation_code, term_codes)`` of every call-bearing fact
+        of ``pending``: the only facts :meth:`evaluate_calls` rewrites."""
+        fact_codes = self._fact_codes
+        entries = []
+        for fact in pending:
+            relation, codes, has_call = fact_codes.get(fact) \
+                or self.encode_fact(fact)
+            if has_call:
+                entries.append((fact, relation, codes))
+        return tuple(entries)
 
     # -- the frontier-batch tier ---------------------------------------------
 
@@ -973,18 +1022,6 @@ class RelationalKernel:
             self._plan_reads_memo[id(plan)] = found
         return found
 
-    def _group_key(self, plan: CompiledQuery, coded: CodedInstance,
-                   domain: FrozenSet[int]) -> tuple:
-        """Cross-state dedup key: frontier siblings whose instances agree
-        on the plan's read relations (as fact sets — block tuple order is
-        interning-history dependent) share one evaluation."""
-        relations, uses_domain = self._plan_reads(plan)
-        key = tuple(frozenset(coded.by_relation.get(relation, ()))
-                    for relation in relations)
-        if uses_domain:
-            return key + (domain,)
-        return key
-
     def _warm_plan(self, plan: CompiledQuery, regs: Optional[List[int]],
                    extra: FrozenSet[int], context,
                    instances: Iterable[Instance], convert, evaluate,
@@ -992,8 +1029,14 @@ class RelationalKernel:
         """Fill ``context``'s grounding result of every instance that has
         none yet, in one pass.
 
-        Instances are grouped by :meth:`_group_key`; one representative
-        per group is evaluated — all representatives in a single
+        Instances are grouped by a cross-state dedup key: frontier
+        siblings that agree on the plan's read relations (as fact sets —
+        block tuple order is interning-history dependent) and, only when
+        the plan reads it (:meth:`_plan_reads`), on the evaluation domain
+        share one evaluation. Domains are computed for the group keys of
+        such plans and for the representatives, never for the other
+        members of a group. One representative per group is evaluated —
+        all representatives in a single
         :func:`vector.binding_matrix_batch` call when the backend
         cooperates (``convert`` maps each per-group answer split to the
         result), else per representative via ``evaluate`` (the same
@@ -1010,24 +1053,28 @@ class RelationalKernel:
                 if context not in self._grounded(instance)]
         if not todo:
             return
+        relations, uses_domain = self._plan_reads(plan)
+        table = self.table
         groups: "OrderedDict[tuple, List[Instance]]" = OrderedDict()
-        domains: Dict[tuple, FrozenSet[int]] = {}
         for instance in todo:
             coded = self.encode_instance(instance)
-            domain = plan.domain(coded, self.table, extra)
-            key = self._group_key(plan, coded, domain)
+            key = tuple(frozenset(coded.by_relation.get(relation, ()))
+                        for relation in relations)
+            if uses_domain:
+                key += (plan.domain(coded, table, extra),)
             members = groups.get(key)
             if members is None:
                 groups[key] = [instance]
-                domains[key] = domain
             else:
                 members.append(instance)
         keys = list(groups)
         self.batch_stats["unique_groups"] += len(keys)
+        representatives = [self.encode_instance(groups[key][0])
+                           for key in keys]
         matrix = vector.binding_matrix_batch(
-            plan, [self.encode_instance(groups[key][0]) for key in keys],
-            [domains[key] for key in keys], regs=regs,
-            stats=self.vector_stats)
+            plan, representatives,
+            [plan.domain(coded, table, extra) for coded in representatives],
+            regs=regs, stats=self.vector_stats)
         if matrix is not None:
             splits = vector.split_by_group(matrix, len(keys), plan.n_slots)
             results = [convert(split) for split in splits]
@@ -1111,7 +1158,10 @@ class RelationalKernel:
     ) -> Tuple[bool, Optional[Instance]]:
         """Compiled twin of ``execution.evaluate_calls`` (after the
         missing-call check): returns ``(handled, instance-or-None)`` where
-        an unhandled result requests the reference fallback."""
+        an unhandled result requests the reference fallback. Only the
+        call-bearing facts are rewritten; a new successor is checked as a
+        candidate shell and interned only if it satisfies the constraints.
+        """
         if check_constraints and self._constraints is None:
             self.stats["fallbacks"] += 1
             return (False, None)
@@ -1127,18 +1177,22 @@ class RelationalKernel:
             return found
         entries = self._own(pending)._entries
         if entries is None:
-            entries = pending._entries = tuple(
-                self.encode_fact(fact) for fact in pending)
-        get = mapping.get
-        coded_facts = set()
-        for relation, codes, has_call in entries:
-            if has_call:
-                codes = tuple(get(c, c) for c in codes)
-            coded_facts.add((relation, codes))
+            entries = pending._entries = self._call_entries(pending)
+        facts = pending.facts
+        if entries:
+            get = mapping.get
+            intern_fact = self.intern_fact
+            facts = facts.difference(
+                fact for fact, _, _ in entries) | {
+                intern_fact(relation, tuple(get(c, c) for c in codes))
+                for _, relation, codes in entries}
+        successor = self._instances.get(facts)
+        if successor is None:
+            successor = self._own(Instance._trusted(facts))  # the shell
         result: Tuple[bool, Optional[Instance]] = (True, None)
         violated = False
         if check_constraints and self._constraints:
-            coded = CodedInstance.from_coded_facts(coded_facts)
+            coded = self.encode_instance(successor)
             for constraint in self._constraints:
                 if not constraint.satisfied(coded, table,
                                             self.initial_adom_codes,
@@ -1146,8 +1200,7 @@ class RelationalKernel:
                     violated = True
                     break
         if not violated:
-            result = (True,
-                      self._intern_coded_instance(frozenset(coded_facts)))
+            result = (True, self._intern_facts(facts, successor))
         self._eval_memo[memo_key] = result
         return result
 

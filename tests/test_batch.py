@@ -27,6 +27,7 @@ is their point).
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 
 import pytest
@@ -49,6 +50,10 @@ x, y, z = Var("x"), Var("y"), Var("z")
 vector_live = pytest.mark.skipif(
     not vector.vector_enabled(),
     reason="vector backend off (REPRO_NO_VECTOR / numpy unavailable)")
+
+kernel_live = pytest.mark.skipif(
+    bool(os.environ.get("REPRO_NO_KERNEL")),
+    reason="reads the kernel's counters (kernel disabled)")
 
 
 @pytest.fixture(autouse=True)
@@ -210,6 +215,7 @@ def grounding_tables(dcds, instances, warm):
     return legal, effects, dict(kernel.stats), dict(kernel.batch_stats)
 
 
+@kernel_live
 class TestMemoWarming:
     def test_warmed_values_and_counters_match_per_state(self, monkeypatch):
         monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
@@ -314,10 +320,19 @@ class TestBatchedDriver:
                     "explored_states", "explored_edges"):
             assert batched.exploration_stats[key] \
                 == per_state.exploration_stats[key], key
+
+    @kernel_live
+    def test_batched_kernel_counters_match_per_state(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
+        batched = self.build()
+        clear_subproblem_caches()
+        monkeypatch.setenv("REPRO_NO_BATCH", "1")
+        per_state = self.build()
         for key in ("legal_evals", "effect_evals", "fallbacks"):
             assert batched.exploration_stats["kernel"][key] \
                 == per_state.exploration_stats["kernel"][key], key
 
+    @kernel_live
     def test_batch_stats_recorded(self, monkeypatch):
         monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
         stats = self.build().exploration_stats["batch"]
@@ -327,6 +342,7 @@ class TestBatchedDriver:
         assert stats["warmed_entries"] > 0
         assert stats["dedup_hits"] > 0
 
+    @kernel_live
     def test_no_batch_driver_records_nothing(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_BATCH", "1")
         stats = self.build().exploration_stats["batch"]

@@ -14,10 +14,12 @@ growing afterwards (the wire codec's cross-process contract).
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.relational import vector
 from repro.relational.coding import CodedInstance, TermTable, UNBOUND
-from repro.relational.values import ServiceCall
+from repro.relational.instance import Fact, Instance
+from repro.relational.values import Fresh, ServiceCall, Var, is_value
 from repro.utils import value_sort_key
 
 numpy_live = pytest.mark.skipif(
@@ -194,3 +196,54 @@ class TestCodedInstanceViews:
         table = TermTable()
         grow(table, 0)
         assert all(code > UNBOUND for code in range(len(table)))
+
+
+# ---------------------------------------------------------------------------
+# ADOM parity: distinct-term scans vs a plain per-term reference
+# ---------------------------------------------------------------------------
+
+_values = st.one_of(st.sampled_from(["a", "b", "c"]), st.integers(0, 3),
+                    st.builds(Fresh, st.integers(0, 3)))
+#: Call arguments: values, and non-values (a nested call, a variable).
+_arguments = st.one_of(
+    _values, st.builds(lambda value: ServiceCall("h", (value,)), _values),
+    st.just(Var("x")))
+_calls = st.builds(lambda function, args: ServiceCall(function, tuple(args)),
+                   st.sampled_from(["f", "g"]),
+                   st.lists(_arguments, max_size=2))
+_terms = st.one_of(_values, _values, _calls)
+_facts = st.lists(st.one_of(
+    st.builds(lambda a, b: Fact("R", (a, b)), _terms, _terms),
+    st.builds(lambda a: Fact("S", (a,)), _terms)), max_size=8)
+
+
+def reference_adom(facts):
+    """``(ADOM, holds a call)`` walking every term of every fact."""
+    values, calls = set(), False
+    for current in facts:
+        for term in current.terms:
+            if isinstance(term, ServiceCall):
+                calls = True
+                values.update(arg for arg in term.args if is_value(arg))
+            else:
+                values.add(term)
+    return frozenset(values), calls
+
+
+@given(_facts, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_adom_scans_match_per_term_reference(facts, flag_first):
+    expected, calls = reference_adom(facts)
+    assert Instance(facts).active_domain() == expected
+    table = TermTable()
+    grouped = {}
+    for current in facts:
+        grouped.setdefault(table.code(current.relation), []).append(
+            table.codes(current.terms))
+    coded = CodedInstance(
+        {relation: tuple(tuples) for relation, tuples in grouped.items()})
+    if flag_first:  # the flag and the adom come from one pass, any order
+        assert coded.holds_calls(table) is calls
+    assert frozenset(table.term(code) for code in coded.adom_codes(table)) \
+        == expected
+    assert coded.holds_calls(table) is calls

@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core import ServiceSemantics
+from repro.core import DCDSBuilder, ServiceSemantics
 from repro.core.execution import (
     clear_subproblem_caches, do_action, enabled_moves, evaluate_calls,
     ground_effect, legal_substitutions)
@@ -30,10 +30,11 @@ from repro.relational.coding import CodedInstance, TermTable
 from repro.relational.instance import Instance, fact
 from repro.relational.kernel import (
     RelationalKernel, clear_kernel_caches, kernel_for)
-from repro.relational.values import Fresh, Var
+from repro.relational.values import Fresh, ServiceCall, Var
 from repro.semantics import build_det_abstraction, rcycl
 from repro.semantics.concrete import explore_concrete
-from repro.workloads import chain_dcds, commitment_blowup_dcds, random_dcds
+from repro.workloads import (
+    chain_dcds, commitment_blowup_dcds, random_dcds, warehouse_dcds)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -314,6 +315,92 @@ class TestCodedCallSet:
         # instance instead of re-encoding its facts.
         assert kernel.stats["evaluate_calls"] == before + len(pendings)
         assert encoded == []
+
+
+def call_term_copy():
+    """An initial instance holding a call term, ``R(f('a'))``, and an
+    action copying ``R`` into ``S``: no head produces a call, yet the
+    copied fact carries one into ``DO()``."""
+    builder = DCDSBuilder(name="call-term-copy", constants={"a"})
+    builder.schema("R/1", "S/1")
+    builder.initial([fact("R", ServiceCall("f", ("a",)))])
+    builder.service("f/1")
+    builder.action("copy", "R(x) ~> S(x)")
+    builder.rule("true", "copy")
+    return builder.build(ServiceSemantics.DETERMINISTIC)
+
+
+class _CountingLookups(dict):
+    """A dict counting ``get`` calls (per-fact code lookups)."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+@pytest.mark.skipif(bool(os.environ.get("REPRO_NO_KERNEL")),
+                    reason="exercises the kernel itself")
+class TestCallFreeSteps:
+    """``DO()`` decides call-freeness once; call-free successors are
+    looked up by the pending's fact set, with no per-fact re-encode."""
+
+    def test_call_term_in_source_instance(self, monkeypatch):
+        kernel_ts = build_det_abstraction(call_term_copy(), max_states=100)
+        monkeypatch.setenv("REPRO_NO_KERNEL", "1")
+        reference_ts = build_det_abstraction(call_term_copy(),
+                                             max_states=100)
+        assert len(kernel_ts.states) == len(reference_ts.states) > 2
+        assert kernel_ts.states == reference_ts.states
+        assert {s: kernel_ts.db(s) for s in kernel_ts.states} \
+            == {s: reference_ts.db(s) for s in reference_ts.states}
+
+    def test_call_free_step_reads_no_fact_codes(self, monkeypatch):
+        clear_kernel_caches()
+        dcds = warehouse_dcds(1, payload=8)
+        kernel = kernel_for(dcds)
+        source = dcds.initial
+        action, sigma = next(enabled_moves(dcds, source))  # warms source
+        encoded = []
+        original = RelationalKernel.encode_fact
+
+        def counting(self, fact):
+            encoded.append(fact)
+            return original(self, fact)
+
+        monkeypatch.setattr(RelationalKernel, "encode_fact", counting)
+        kernel._fact_codes = _CountingLookups(kernel._fact_codes)
+        pending = do_action(dcds, source, action, sigma)
+        assert pending.service_calls() == frozenset()
+        successor = evaluate_calls(dcds, pending, {})
+        assert encoded == []
+        assert kernel._fact_codes.lookups == 0
+        assert successor == pending
+        # Store and wire decoding land on the very same interned object.
+        assert kernel._intern_coded_instance(
+            kernel.coded_fact_set(successor)) is successor
+        clear_kernel_caches()  # drop the kernel holding the counting dict
+
+    def test_call_bearing_step_matches_reference(self, monkeypatch):
+        dcds = example_41()
+        moves = list(enabled_moves(dcds, dcds.initial))
+        pendings = [do_action(dcds, dcds.initial, action, sigma)
+                    for action, sigma in moves]
+        reference = force_reference(example_41(), monkeypatch)
+        expected = [do_action(reference, reference.initial, action, sigma)
+                    for action, sigma in enabled_moves(
+                        reference, reference.initial)]
+        assert pendings == expected
+        assert any(pending.service_calls() for pending in pendings)
+        for pending, twin in zip(pendings, expected):
+            assert pending.service_calls() \
+                == Instance._trusted(twin.facts).service_calls()
+            evaluation = {call: Fresh(90 + position) for position, call
+                          in enumerate(sorted(pending.service_calls(),
+                                              key=repr))}
+            assert evaluate_calls(dcds, pending, evaluation) \
+                == evaluate_calls(reference, twin, evaluation)
 
 
 def _decoded(kernel, coded_facts) -> set:
