@@ -337,9 +337,10 @@ def quick_smoke():
     # Both builds start from an empty kernel, so their grounding counters
     # (cumulative per kernel) compare one build with the other.
     clear_kernel_caches()
-    plain_ts, plain_codec, plain = timed_build(factory)
+    plain_ts, plain_codec, plain = timed_build(factory, trace=True)
     clear_kernel_caches()
-    budgeted_ts, _, budgeted = timed_build(factory, budget=budget)
+    budgeted_ts, _, budgeted = timed_build(factory, budget=budget,
+                                           trace=True)
     store = budgeted["store"]
     assert store and store["backend"] == "paged", \
         "budget did not engage the paged store"
@@ -356,6 +357,15 @@ def quick_smoke():
         assert grounding[key] == plain["kernel"][key], \
             f"budgeted build re-evaluated: {key} " \
             f"{grounding[key]} vs {plain['kernel'][key]}"
+    # Heap: a plain build keeps only what checking needs (each state's
+    # coded form is released once expanded), so it stays within 2x of the
+    # budgeted build's traced peak instead of growing with every state's
+    # join caches.
+    plain_peak = plain["traced_peak_bytes"]
+    budgeted_peak = budgeted["traced_peak_bytes"]
+    assert plain_peak <= 2 * budgeted_peak, \
+        f"plain build's traced peak {plain_peak} B exceeds 2x the " \
+        f"budgeted build's {budgeted_peak} B"
     print(json.dumps({
         "config": "conveyor[2]",
         "states": budgeted["states"],
@@ -366,6 +376,8 @@ def quick_smoke():
         "plain_sec": plain["sec"],
         "budgeted_sec": budgeted["sec"],
         "slowdown_factor": budgeted["sec"] / plain["sec"],
+        "plain_traced_peak_bytes": plain_peak,
+        "budgeted_traced_peak_bytes": budgeted_peak,
         **grounding,
         "bit_identical": True,
     }, indent=2))

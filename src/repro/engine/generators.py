@@ -124,7 +124,9 @@ def _kernel_successors(generator, key, state: State) -> Iterator[Successor]:
     and is memoized only when fully consumed: an observer early-stop or
     state budget that abandons it mid-way (the explorer returns without
     draining) neither pays for the unconsumed tail nor caches a truncated
-    list.
+    list. A drained stream releases the state's coded instance
+    (:meth:`~repro.relational.kernel.RelationalKernel.release`): only
+    grounding read it, and a replay reads the memo.
     """
     kernel = kernel_for(generator.dcds)
     if kernel is None:
@@ -133,16 +135,17 @@ def _kernel_successors(generator, key, state: State) -> Iterator[Successor]:
     found = memo.get(state)
     if found is not None:
         return iter(found)
-    return _memoized_expansion(generator._expand(state), memo, state)
+    return _memoized_expansion(kernel, generator._expand(state), memo, state)
 
 
-def _memoized_expansion(expansion: Iterator[Successor], memo: dict,
+def _memoized_expansion(kernel, expansion: Iterator[Successor], memo: dict,
                         state: State) -> Iterator[Successor]:
     collected = []
     for successor in expansion:
         collected.append(successor)
         yield successor
     memo[state] = tuple(collected)
+    kernel.release(getattr(state, "instance", state))
 
 
 def warm_frontier_block(generator, key, states: Sequence[State]) -> None:
@@ -357,6 +360,9 @@ class RcyclGenerator(SuccessorGenerator):
                 if successor is None:
                     continue  # violates an equality constraint
                 yield successor, successor, label
+        kernel = kernel_for(dcds)
+        if kernel is not None:  # expanded: drop the coded form
+            kernel.release(instance)
 
 
 # ---------------------------------------------------------------------------

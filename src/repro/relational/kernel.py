@@ -267,16 +267,6 @@ class _EffectContext:
         self.sigmas: Dict[SigmaItems, _SigmaContext] = {}
 
 
-class _ActionContext:
-    """``DO()`` memo: per (sigma, instance) pending-instance sharing."""
-
-    __slots__ = ("effects", "by_key")
-
-    def __init__(self, effects: tuple):
-        self.effects = effects
-        self.by_key: Dict[Tuple[SigmaItems, Instance], Instance] = {}
-
-
 class RelationalKernel:
     """Integer-coded acceleration structures for one DCDS."""
 
@@ -310,18 +300,16 @@ class RelationalKernel:
         self._rule_contexts: List[Optional[_RuleContext]] = [
             self._compile_rule(dcds, rule) for rule in dcds.process.rules]
         self._effect_contexts: List[Optional[_EffectContext]] = []
-        self._action_contexts: List[_ActionContext] = []
         for action in dcds.process.actions:
             for effect in action.effects:
                 self._effect_contexts.append(self._compile_effect(effect))
-            self._action_contexts.append(
-                _ActionContext(tuple(action.effects)))
         # Hot-path lookups are by object id — no dataclass re-hashing.
         # Every id registered here belongs to a specification kept alive in
         # ``_adopted`` (ids stay stable, no reuse).
         self._rules: Dict[int, Optional[_RuleContext]] = {}
         self._effects: Dict[int, Optional[_EffectContext]] = {}
-        self._actions: Dict[int, _ActionContext] = {}
+        #: Action id -> its effects (in specification order).
+        self._actions: Dict[int, tuple] = {}
         self._adopted: List[Any] = []
         self._index_spec(dcds)
         self._constraints: Optional[List[_CompiledConstraint]] = []
@@ -400,9 +388,8 @@ class RelationalKernel:
         for rule, context in zip(dcds.process.rules, self._rule_contexts):
             self._rules[id(rule)] = context
         position = 0
-        for action, context in zip(dcds.process.actions,
-                                   self._action_contexts):
-            self._actions[id(action)] = context
+        for action in dcds.process.actions:
+            self._actions[id(action)] = tuple(action.effects)
             for effect in action.effects:
                 self._effects[id(effect)] = self._effect_contexts[position]
                 position += 1
@@ -471,8 +458,6 @@ class RelationalKernel:
         for effect_context in self._effect_contexts:
             if effect_context is not None:
                 effect_context.sigmas.clear()
-        for action_context in self._action_contexts:
-            action_context.by_key.clear()
 
     # -- memo budgeting (the storage layer's ``memos`` account) -------------
 
@@ -501,10 +486,11 @@ class RelationalKernel:
         interners (``_facts``/``_fact_codes``/``_calls``) stay resident:
         they are identity anchors, and their entries are tiny.
 
-        Per-instance caches (codes, grounding results) are not wrapped:
-        they ride the :class:`Instance` (see :meth:`_own`), bounded by
-        whatever holds it — the ``hot`` LRU, a memo here, or the frontier
-        block being warmed and expanded.
+        Per-instance caches are not wrapped: they ride the
+        :class:`Instance` (see :meth:`_own`). The coded form lives until
+        the instance's state is expanded (:meth:`release`); grounding
+        results live for the run, with whatever holds the instance — the
+        ``hot`` LRU, a memo here, or the frontier block being warmed.
         """
         self._memo_budget = budget
         wrap = self._budget_memo
@@ -514,8 +500,6 @@ class RelationalKernel:
         self._successor_memos = {
             key: wrap(memo)
             for key, memo in self._successor_memos.items()}
-        for action_context in self._action_contexts:
-            action_context.by_key = wrap(action_context.by_key)
 
     def detach_memo_budget(self) -> None:
         """Undo :meth:`attach_memo_budget`: back to plain dicts (current
@@ -537,8 +521,6 @@ class RelationalKernel:
         self._successor_memos = {
             key: unwrap(memo)
             for key, memo in self._successor_memos.items()}
-        for action_context in self._action_contexts:
-            action_context.by_key = unwrap(action_context.by_key)
 
     def __reduce__(self):
         return _unpickle_kernel_placeholder, ()
@@ -566,6 +548,16 @@ class RelationalKernel:
         if found is None:
             found = instance._grounded = {}
         return found
+
+    def release(self, instance: Instance) -> None:
+        """Drop ``instance``'s coded form once its state is expanded.
+
+        The :class:`CodedInstance` (tuples, adom, evaluation domains, join
+        indexes, columnar mirrors) serves only grounding; grounding
+        results stay, since abstract states often share an instance.
+        """
+        if instance._owner is self._token:
+            instance._coded = None
 
     # -- encoding ------------------------------------------------------------
 
@@ -610,7 +602,8 @@ class RelationalKernel:
         return found
 
     def encode_instance(self, instance: Instance) -> CodedInstance:
-        """The coded form of an instance (cached per instance)."""
+        """The coded form of an instance, cached on it until
+        :meth:`release` (a released instance is re-encoded on demand)."""
         found = self._own(instance)._coded
         if found is None:
             facts = instance._coded_facts
@@ -911,13 +904,13 @@ class RelationalKernel:
     def do_action_instance(self, action, sigma_items: SigmaItems,
                            instance: Instance, fallback
                            ) -> Optional[Instance]:
-        """``DO(I, alpha sigma)`` with per-(sigma, instance) sharing.
+        """``DO(I, alpha sigma)`` as a fresh pending instance.
 
-        The same pending instance recurs whenever isomorphic regions of the
-        state space replay an action; sharing the object keeps its
-        service-call set and coded form warm across all of them.
-        ``fallback`` computes one effect's facts the reference way when that
-        effect could not be compiled; an action object the kernel has never
+        Pendings are not shared per ``(sigma, instance)``: each state is
+        expanded once, and value-equal pendings from different sources
+        meet in :meth:`evaluate_calls`'s memo instead. ``fallback``
+        computes one effect's facts the reference way when that effect
+        could not be compiled; an action object the kernel has never
         indexed returns ``None`` (caller takes the reference path).
 
         ``CALLS(I)`` of the pending instance is decided once here. The
@@ -932,16 +925,12 @@ class RelationalKernel:
         reference path through ``is_ground``), so every call is a whole
         term.
         """
-        context = self._actions.get(id(action))
-        if context is None:
+        effects = self._actions.get(id(action))
+        if effects is None:
             return None
-        key = (sigma_items, instance)
-        found = context.by_key.get(key)
-        if found is not None:
-            return found
         produced: set = set()
         call_free = True
-        for effect in context.effects:
+        for effect in effects:
             facts = self.ground_effect(effect, sigma_items, instance)
             if facts is None:
                 facts = fallback(effect)
@@ -963,7 +952,6 @@ class RelationalKernel:
                 table.term(code) for _, _, codes in entries
                 for code in codes if table.is_call(code))
         pending._entries = entries
-        context.by_key[key] = pending
         return pending
 
     def _call_entries(self, pending: Instance) -> tuple:

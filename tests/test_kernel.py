@@ -473,6 +473,55 @@ class TestInstanceCacheOwnership:
         assert kernel.stats["legal_evals"] == legal_evals + 1
 
 
+DRIVERS = pytest.mark.parametrize("driver", ["batched", "per-state"])
+
+
+def _select_driver(driver, monkeypatch):
+    if driver == "per-state":
+        monkeypatch.setenv("REPRO_NO_BATCH", "1")
+    else:
+        monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
+
+
+@pytest.mark.skipif(bool(os.environ.get("REPRO_NO_KERNEL")),
+                    reason="exercises the kernel itself")
+class TestFrontierRelease:
+    """An expanded state's coded form is released; its grounding stays."""
+
+    def assert_released(self, ts):
+        for state in ts.states:
+            instance = ts.db(state)
+            assert instance._coded is None
+            assert instance._grounded
+
+    @DRIVERS
+    def test_det_build_releases_coded_instances(self, driver, monkeypatch):
+        _select_driver(driver, monkeypatch)
+        clear_kernel_caches()
+        self.assert_released(build_det_abstraction(
+            warehouse_dcds(1, payload=8), 100000))
+
+    def test_rcycl_releases_coded_instances(self):
+        clear_kernel_caches()
+        self.assert_released(rcycl(library_system(2, 1)))
+
+    @DRIVERS
+    @pytest.mark.parametrize("seed,shape,expected", [
+        (1, "free", 86), (5, "weakly-acyclic", 36)])
+    def test_each_instance_grounded_once(self, driver, seed, shape,
+                                         expected, monkeypatch):
+        # Abstract states <I, M> share I: grounding results must outlive
+        # the release, or every sharing state grounds its instance again.
+        _select_driver(driver, monkeypatch)
+        clear_kernel_caches()
+        dcds = random_dcds(seed, shape=shape)
+        ts = build_det_abstraction(dcds, 100000)
+        instances = {ts.db(state) for state in ts.states}
+        legal_evals = kernel_for(dcds).stats["legal_evals"]
+        assert legal_evals == len(dcds.process.rules) * len(instances)
+        assert legal_evals == expected
+
+
 @pytest.mark.skipif(bool(os.environ.get("REPRO_NO_KERNEL")),
                     reason="exercises the kernel itself")
 class TestKernelInfrastructure:
