@@ -1,6 +1,8 @@
 """The per-DCDS integer-coded relational kernel.
 
-One :class:`RelationalKernel` is built (lazily, once) per DCDS. It owns:
+One :class:`RelationalKernel` is built lazily per DCDS object and lives as
+long as that object: structurally equal specifications do not share one.
+It owns:
 
 * a :class:`~repro.relational.coding.TermTable` interning every ground term
   the exploration touches to a dense int code;
@@ -10,7 +12,7 @@ One :class:`RelationalKernel` is built (lazily, once) per DCDS. It owns:
   :mod:`repro.fol.evaluation` stays authoritative and is pinned against the
   kernel by parity tests);
 * interners for facts and instances, so every distinct fact/instance is
-  materialized — and hashed — exactly once per process, and revisited
+  materialized — and hashed — exactly once per kernel, and revisited
   successors come back as the *same* objects with warm caches.
 
 The kernel is a pure accelerator: :mod:`repro.core.execution` consults it on
@@ -69,17 +71,12 @@ def _disabled_sentinel() -> "_Disabled":
 _DISABLED = _Disabled()
 
 
-#: Structurally-equal DCDSs share one kernel: benchmarks and validation
-#: runs rebuild specifications freely, and a rebuilt spec should land on
-#: the warm plans and interners of its twin. Keyed by ``spec_signature()``;
-#: bounded LRU so sweeping over many generated specifications cannot pin
-#: unbounded memory.
-_KERNEL_REGISTRY: "OrderedDict[tuple, RelationalKernel]" = OrderedDict()
-_KERNEL_REGISTRY_LIMIT = 64
-
-
 def kernel_for(dcds) -> Optional["RelationalKernel"]:
-    """The kernel attached to ``dcds``, built (or adopted) on first use.
+    """The kernel attached to ``dcds``, built on first use.
+
+    One kernel per DCDS object: it lives exactly as long as the DCDS it
+    is attached to, so a rebuilt (even structurally equal) specification
+    gets a fresh kernel with zeroed counters.
 
     Returns ``None`` when disabled (``REPRO_NO_KERNEL=1``). The switch is
     read when the kernel would first be attached to a DCDS, not on every
@@ -88,28 +85,15 @@ def kernel_for(dcds) -> Optional["RelationalKernel"]:
     switch).
     """
     kernel = getattr(dcds, "_relational_kernel", None)
-    if kernel is not None:
-        return None if kernel is _DISABLED else kernel
-    if env.kernel_disabled():
-        object.__setattr__(dcds, "_relational_kernel", _DISABLED)
-        return None
-    signature = dcds.spec_signature()
-    kernel = _KERNEL_REGISTRY.get(signature)
     if kernel is None:
-        kernel = RelationalKernel(dcds)
-        _KERNEL_REGISTRY[signature] = kernel
-        while len(_KERNEL_REGISTRY) > _KERNEL_REGISTRY_LIMIT:
-            _KERNEL_REGISTRY.popitem(last=False)
-    else:
-        _KERNEL_REGISTRY.move_to_end(signature)
-        kernel.adopt(dcds)
-    object.__setattr__(dcds, "_relational_kernel", kernel)
-    return kernel
+        kernel = _DISABLED if env.kernel_disabled() \
+            else RelationalKernel(dcds)
+        object.__setattr__(dcds, "_relational_kernel", kernel)
+    return None if kernel is _DISABLED else kernel
 
 
 def clear_kernel_caches() -> None:
     """Release the interned instances/facts of every live kernel."""
-    _KERNEL_REGISTRY.clear()
     for kernel in list(_LIVE_KERNELS):
         kernel.clear_caches()
 
@@ -297,21 +281,19 @@ class RelationalKernel:
         # 3. compiled plans in specification order (rules, then actions'
         #    effects, then constraints) — compilation interns each
         #    formula's constants.
-        self._rule_contexts: List[Optional[_RuleContext]] = [
-            self._compile_rule(dcds, rule) for rule in dcds.process.rules]
-        self._effect_contexts: List[Optional[_EffectContext]] = []
-        for action in dcds.process.actions:
-            for effect in action.effects:
-                self._effect_contexts.append(self._compile_effect(effect))
-        # Hot-path lookups are by object id — no dataclass re-hashing.
-        # Every id registered here belongs to a specification kept alive in
-        # ``_adopted`` (ids stay stable, no reuse).
-        self._rules: Dict[int, Optional[_RuleContext]] = {}
-        self._effects: Dict[int, Optional[_EffectContext]] = {}
+        #    Hot-path lookups are by object id — no dataclass re-hashing;
+        #    the ids belong to ``self.dcds``, so they stay stable (no reuse)
+        #    for the kernel's whole life.
+        self._rules: Dict[int, Optional[_RuleContext]] = {
+            id(rule): self._compile_rule(dcds, rule)
+            for rule in dcds.process.rules}
+        self._effects: Dict[int, Optional[_EffectContext]] = {
+            id(effect): self._compile_effect(effect)
+            for action in dcds.process.actions for effect in action.effects}
         #: Action id -> its effects (in specification order).
-        self._actions: Dict[int, tuple] = {}
-        self._adopted: List[Any] = []
-        self._index_spec(dcds)
+        self._actions: Dict[int, tuple] = {
+            id(action): tuple(action.effects)
+            for action in dcds.process.actions}
         self._constraints: Optional[List[_CompiledConstraint]] = []
         for constraint in dcds.data.constraints:
             try:
@@ -372,32 +354,6 @@ class RelationalKernel:
 
     # -- construction helpers ------------------------------------------------
 
-    def _index_spec(self, dcds) -> None:
-        """Map one specification's rule/effect/action ids onto the shared
-        positional contexts (identical structure guaranteed by the
-        ``spec_signature`` registry key)."""
-        if len(self._adopted) >= 256:
-            # Id maps would otherwise grow with every structurally-equal
-            # rebuild; dropped specifications simply fall back to the
-            # reference path if still in use.
-            self._adopted.clear()
-            self._rules.clear()
-            self._effects.clear()
-            self._actions.clear()
-        self._adopted.append(dcds)
-        for rule, context in zip(dcds.process.rules, self._rule_contexts):
-            self._rules[id(rule)] = context
-        position = 0
-        for action in dcds.process.actions:
-            self._actions[id(action)] = tuple(action.effects)
-            for effect in action.effects:
-                self._effects[id(effect)] = self._effect_contexts[position]
-                position += 1
-
-    def adopt(self, dcds) -> None:
-        """Serve a structurally identical DCDS from the existing kernel."""
-        self._index_spec(dcds)
-
     def _compile_rule(self, dcds, rule) -> Optional[_RuleContext]:
         try:
             plan = CompiledQuery(rule.query, self.table, False)
@@ -455,7 +411,7 @@ class RelationalKernel:
         self._eval_memo.clear()
         self._successor_memos.clear()
         self._canonical_memo.clear()
-        for effect_context in self._effect_contexts:
+        for effect_context in self._effects.values():
             if effect_context is not None:
                 effect_context.sigmas.clear()
 
@@ -531,9 +487,10 @@ class RelationalKernel:
         """``instance`` with its kernel-cache slots claimed for this kernel.
 
         Codes are only meaningful against one term table, and an instance
-        can reach two kernels (the registry shares and rebuilds them), so
-        entries left by another kernel — or by this one before
-        :meth:`clear_caches` — are a miss: claiming resets them.
+        can reach two kernels (specifications built over one initial
+        instance each get their own), so entries left by another kernel —
+        or by this one before :meth:`clear_caches` — are a miss: claiming
+        resets them.
         """
         if instance._owner is not self._token:
             instance._owner = self._token

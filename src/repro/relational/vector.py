@@ -88,8 +88,8 @@ def numpy_available() -> bool:
 
 def vector_enabled() -> bool:
     """The vector backend switch, read per call (cheap at per-evaluation
-    granularity) so tests can flip ``REPRO_NO_VECTOR`` without worrying
-    about kernels cached in the registry."""
+    granularity) so tests can flip ``REPRO_NO_VECTOR`` on a kernel that
+    is already built."""
     return numpy_available() and not env.vector_disabled()
 
 

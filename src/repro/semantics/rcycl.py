@@ -32,11 +32,9 @@ from typing import List
 from repro.errors import AbstractionDiverged, ReproError
 from repro.core.dcds import DCDS, ServiceSemantics
 from repro.engine.explorer import Explorer
-from repro.engine.generators import RcyclGenerator, sigma_key
+from repro.engine.generators import RcyclGenerator
 from repro.relational.kernel import attach_kernel_stats
 from repro.semantics.transition_system import TransitionSystem
-
-_sigma_key = sigma_key  # historical name, used by the ablations module
 
 
 @dataclass

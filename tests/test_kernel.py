@@ -9,7 +9,9 @@ identical to them.
 
 from __future__ import annotations
 
+import gc
 import os
+import weakref
 from collections import Counter
 
 import pytest
@@ -29,7 +31,7 @@ from repro.gallery import (
 from repro.relational.coding import CodedInstance, TermTable
 from repro.relational.instance import Instance, fact
 from repro.relational.kernel import (
-    RelationalKernel, clear_kernel_caches, kernel_for)
+    _LIVE_KERNELS, RelationalKernel, clear_kernel_caches, kernel_for)
 from repro.relational.values import Fresh, ServiceCall, Var
 from repro.semantics import build_det_abstraction, rcycl
 from repro.semantics.concrete import explore_concrete
@@ -525,12 +527,28 @@ class TestFrontierRelease:
 @pytest.mark.skipif(bool(os.environ.get("REPRO_NO_KERNEL")),
                     reason="exercises the kernel itself")
 class TestKernelInfrastructure:
-    def test_registry_shares_kernel_across_equal_specs(self):
-        first = chain_dcds(2)
-        second = chain_dcds(2)
-        kernel_first = kernel_for(first)
-        kernel_second = kernel_for(second)
-        assert kernel_first is kernel_second
+    def test_equal_specs_get_distinct_kernels(self):
+        first = commitment_blowup_dcds(2)
+        build_det_abstraction(first, 100000)
+        second = commitment_blowup_dcds(2)
+        assert second.spec_signature() == first.spec_signature()
+        kernel = kernel_for(second)
+        # One kernel per DCDS object: a rebuilt twin starts cold.
+        assert kernel is not kernel_for(first)
+        assert kernel.dcds is second
+        assert not any(kernel.stats.values())
+
+    def test_kernel_dies_with_its_dcds(self):
+        dcds = commitment_blowup_dcds(2)
+        build_det_abstraction(dcds, 100000)
+        kernel = weakref.ref(kernel_for(dcds))
+        assert kernel() in _LIVE_KERNELS
+        dcds_ref = weakref.ref(dcds)
+        del dcds
+        gc.collect()
+        # Nothing module-level keeps the kernel, nor through it its DCDS.
+        assert dcds_ref() is None
+        assert kernel() is None
 
     def test_distinct_specs_get_distinct_kernels(self):
         assert kernel_for(chain_dcds(2)) is not kernel_for(chain_dcds(3))
@@ -566,8 +584,6 @@ class TestKernelInfrastructure:
         assert kernel._instances
         clear_kernel_caches()
         assert not kernel._instances
-        # And the registry forgets, so a fresh equal spec builds anew.
-        assert kernel_for(commitment_blowup_dcds(2)) is not kernel
 
     def test_pickled_dcds_drops_kernel(self):
         import pickle

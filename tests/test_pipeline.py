@@ -3,7 +3,7 @@
 import pytest
 
 from repro import UndecidableFragment, verify
-from repro.core import DCDSBuilder, ServiceSemantics
+from repro.core import DCDS, DCDSBuilder, ServiceSemantics
 from repro.gallery import (
     example_41, example_42, example_43, example_52, student_registry)
 from repro.gallery.student import (
@@ -67,6 +67,26 @@ class TestDeterministicRoute:
                         parse_mu("mu Z. ((E x. live(x) & Q(x)) | <-> Z)"),
                         force=True)
         assert report.static_condition == "forced"
+        assert report.holds
+
+
+class TestNoSignatureLookup:
+    """verify() without a checkpoint never computes spec_signature(): it
+    sorts every initial fact, and only a checkpoint header needs it."""
+
+    @pytest.mark.parametrize("build,formula,route", [
+        (example_41, lambda: parse_mu("mu Z. (R('a') | <-> Z)"),
+         "det-abstraction"),
+        (student_registry, property_eventual_graduation_mu_lp, "rcycl"),
+    ], ids=["det", "rcycl"])
+    def test_verify_does_not_read_the_signature(self, monkeypatch, build,
+                                                formula, route):
+        def refuse(self):
+            raise AssertionError("verify() read spec_signature()")
+
+        monkeypatch.setattr(DCDS, "spec_signature", refuse)
+        report = verify(build(), formula())
+        assert report.route == route
         assert report.holds
 
 

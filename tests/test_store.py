@@ -253,14 +253,19 @@ class TestStateCodec:
         # states must still produce byte-identical frames, because the
         # paged store's digest dedup and the checkpoint adopt path *are*
         # state equality only under that guarantee.
-        frames_by_build = []
-        for _ in range(2):
+        frames_by_build, kernels = [], []
+        for unrelated in ((), ("unrelated-1", "unrelated-2")):
             dcds = conveyor_dcds(1)
             kernel = kernel_or_skip(dcds)
+            kernels.append(kernel)
+            for term in unrelated:
+                kernel.table.code(term)
             codec = StateCodec(kernel, len(kernel.table))
             frames_by_build.append(
                 [codec.encode_state(state)
                  for state in explored_states(dcds)])
+        assert kernels[0] is not kernels[1]
+        assert len(kernels[0].table) != len(kernels[1].table)
         assert frames_by_build[0] == frames_by_build[1]
 
     def test_post_snapshot_terms_ride_as_defs(self):

@@ -71,9 +71,8 @@ def remote_kernel(dcds, snapshot):
     assert getattr(detached, "_relational_kernel") is None
     kernel = RelationalKernel(detached)
     kernel.table.replay(snapshot)
-    # Attach directly (bypassing the structural-equality registry, which
-    # would hand back the coordinator's kernel) so worker-side expansion
-    # really runs on the second kernel.
+    # Attach it as kernel_for would, so worker-side expansion really runs
+    # on the second kernel (built here even under REPRO_NO_KERNEL).
     object.__setattr__(detached, "_relational_kernel", kernel)
     return kernel
 
