@@ -21,11 +21,10 @@ the edges' action sets), so the recall cycle is flushed between waves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
+from repro.analysis.digraph import reachable, strongly_connected_components
 from repro.core.dcds import DCDS
 from repro.fol.ast import TrueF
 from repro.relational.values import Param, ServiceCall, Var
@@ -77,24 +76,24 @@ class DataflowGraph:
     def special_edges(self) -> List[FlowEdge]:
         return [edge for edge in self.edges if edge.special]
 
-    def _nx(self, exclude: Optional[FlowEdge] = None) -> nx.MultiDiGraph:
-        graph = nx.MultiDiGraph()
-        graph.add_nodes_from(self.nodes)
+    def _adjacency(self, exclude: Optional[FlowEdge] = None
+                   ) -> Dict[str, List[str]]:
+        adjacency: Dict[str, List[str]] = {node: [] for node in self.nodes}
         for edge in self.edges:
             if exclude is not None and edge.edge_id == exclude.edge_id:
                 continue
-            graph.add_edge(edge.source, edge.target, key=edge.edge_id)
-        return graph
+            adjacency.setdefault(edge.source, []).append(edge.target)
+        return adjacency
 
     @staticmethod
-    def _cycle_nodes(graph: nx.MultiDiGraph) -> Set[str]:
+    def _cycle_nodes(adjacency: Dict[str, List[str]]) -> Set[str]:
         """Nodes lying on some cycle (nontrivial SCC or self-loop)."""
         on_cycle: Set[str] = set()
-        for component in nx.strongly_connected_components(graph):
+        for component in strongly_connected_components(adjacency):
             if len(component) > 1:
-                on_cycle |= component
-        for source, target in graph.edges():
-            if source == target:
+                on_cycle.update(component)
+        for source, targets in adjacency.items():
+            if source in targets:
                 on_cycle.add(source)
         return on_cycle
 
@@ -111,24 +110,16 @@ class DataflowGraph:
         pi1's edges) and (ii) ``v`` reaches some cycle (the recall cycle
         pi3).
         """
-        full = self._nx()
+        full = self._adjacency()
         full_cycle_nodes = self._cycle_nodes(full)
         for edge in self.special_edges():
-            without = self._nx(exclude=edge)
-            generators = self._cycle_nodes(without)
-            if not generators:
-                continue
+            generators = self._cycle_nodes(self._adjacency(exclude=edge))
             # (i) u reachable from a cycle that avoids e (path may use e).
-            reaches_u = any(
-                origin == edge.source or nx.has_path(full, origin, edge.source)
-                for origin in generators)
-            if not reaches_u:
+            if edge.source not in reachable(full, generators):
                 continue
             # (ii) v reaches a recall cycle.
-            feeds_cycle = any(
-                edge.target == sink or nx.has_path(full, edge.target, sink)
-                for sink in full_cycle_nodes)
-            if feeds_cycle:
+            if not full_cycle_nodes.isdisjoint(
+                    reachable(full, (edge.target,))):
                 return edge
         return None
 

@@ -15,16 +15,18 @@ termination in data exchange [Fagin et al.].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-import networkx as nx
-
+from repro.analysis.digraph import reachable, strongly_connected_components
 from repro.core.dcds import DCDS
 from repro.relational.values import (
     Param, ServiceCall, Var, term_variables)
 
 Position = Tuple[str, int]
+# ``{source: [(target, special), ...]}``: every position is a key, and the
+# out-edges of a source are grouped by target, in first-insertion order.
+PositionGraph = Dict[Position, List[Tuple[Position, bool]]]
 
 
 def _normalize(term, param_map: Dict[Param, Var]):
@@ -41,16 +43,21 @@ def _normalize(term, param_map: Dict[Param, Var]):
 class DependencyGraph:
     """The edge-labeled position graph plus the weak-acyclicity verdict."""
 
-    graph: nx.MultiDiGraph
+    graph: PositionGraph
     dcds_name: str = ""
 
     @property
     def nodes(self) -> FrozenSet[Position]:
-        return frozenset(self.graph.nodes)
+        return frozenset(self.graph)
 
     def edges(self) -> List[Tuple[Position, Position, bool]]:
-        return [(source, target, bool(data["special"]))
-                for source, target, data in self.graph.edges(data=True)]
+        return [(source, target, special)
+                for source, out in self.graph.items()
+                for target, special in out]
+
+    def _successors(self) -> Dict[Position, List[Position]]:
+        return {source: [target for target, _ in out]
+                for source, out in self.graph.items()}
 
     def ordinary_edges(self) -> List[Tuple[Position, Position]]:
         return [(s, t) for s, t, special in self.edges() if not special]
@@ -64,8 +71,9 @@ class DependencyGraph:
         return self.violating_special_edge() is None
 
     def violating_special_edge(self) -> Optional[Tuple[Position, Position]]:
+        successors = self._successors()
         for source, target in self.special_edges():
-            if target == source or nx.has_path(self.graph, target, source):
+            if source in reachable(successors, (target,)):
                 return (source, target)
         return None
 
@@ -75,19 +83,17 @@ class DependencyGraph:
         Theorem 4.7 to bound the polynomial)."""
         if not self.is_weakly_acyclic():
             raise ValueError("ranks are only defined for weakly acyclic graphs")
-        # Longest path in the condensation weighted by special edges.
-        condensed = nx.condensation(self.graph)
-        member_of = condensed.graph["mapping"]
-        rank: Dict[Position, int] = {node: 0 for node in self.graph.nodes}
-        for component in nx.topological_sort(condensed):
-            members = condensed.nodes[component]["members"]
-            base = max((rank[node] for node in members), default=0)
+        # Longest path over the SCCs in topological order, weighted by
+        # special edges (none lies inside an SCC of a weakly acyclic graph).
+        rank: Dict[Position, int] = {node: 0 for node in self.graph}
+        for members in reversed(
+                strongly_connected_components(self._successors())):
+            base = max(rank[node] for node in members)
             for node in members:
                 rank[node] = base
             for node in members:
-                for _, target, data in self.graph.out_edges(node, data=True):
-                    weight = 1 if data["special"] else 0
-                    candidate = rank[node] + weight
+                for target, special in self.graph[node]:
+                    candidate = rank[node] + (1 if special else 0)
                     if candidate > rank[target]:
                         rank[target] = candidate
         return rank
@@ -95,7 +101,7 @@ class DependencyGraph:
     def describe(self) -> str:
         lines = [f"Dependency graph of {self.dcds_name!r}: "
                  f"{len(self.nodes)} positions, "
-                 f"{self.graph.number_of_edges()} edges"]
+                 f"{len(self.edges())} edges"]
         for source, target, special in sorted(
                 self.edges(), key=lambda item: (repr(item[0]), repr(item[1]),
                                                 item[2])):
@@ -113,10 +119,10 @@ def dependency_graph(dcds: DCDS) -> DependencyGraph:
     Works directly on the original specification (parameters are treated as
     the free variables they become in ``S+``; negative filters are ignored).
     """
-    graph = nx.MultiDiGraph()
+    graph: PositionGraph = {}
     for relation in dcds.schema:
         for position in range(relation.arity):
-            graph.add_node((relation.name, position))
+            graph[(relation.name, position)] = []
 
     for action in dcds.process.actions:
         param_map: Dict[Param, Var] = {}
@@ -152,13 +158,19 @@ def _variable_positions(effect, param_map) -> Dict[Var, Set[Position]]:
     return positions
 
 
-def _add_edge(graph: nx.MultiDiGraph, source: Position, target: Position,
+def _add_edge(graph: PositionGraph, source: Position, target: Position,
               special: bool) -> None:
-    # Deduplicate structurally identical edges (same endpoints + kind).
-    for _, existing_target, data in graph.out_edges(source, data=True):
-        if existing_target == target and data["special"] == special:
-            return
-    graph.add_edge(source, target, special=special)
+    # Deduplicate structurally identical edges (same endpoints + kind), and
+    # keep the out-edges to one target next to each other.
+    out = graph.setdefault(source, [])
+    graph.setdefault(target, [])
+    slot = len(out)
+    for index, (existing_target, existing_special) in enumerate(out):
+        if existing_target == target:
+            if existing_special == special:
+                return
+            slot = index + 1
+    out.insert(slot, (target, special))
 
 
 def is_weakly_acyclic(dcds: DCDS) -> bool:

@@ -169,6 +169,24 @@ def _pack_rows(left, right):
     return pack(left), pack(right)
 
 
+def _sorted_unique(values):
+    """The distinct entries of a 1-D array, or the distinct rows of a 2-D
+    one, in (lexicographic) order: ``np.unique(values)`` and
+    ``np.unique(values, axis=0)``. Those flag-less calls import
+    ``numpy.ma`` on numpy 2.x (to check ``np.ma.is_masked``); a sort plus
+    a neighbour-inequality mask does not."""
+    np = _np
+    if not len(values):
+        return values
+    if values.ndim == 1:
+        ordered = np.sort(values)
+        differs = ordered[1:] != ordered[:-1]
+    else:
+        ordered = values[np.lexsort(values.T[::-1])]
+        differs = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return ordered[np.concatenate(([True], differs))]
+
+
 def _join_ids(b_ids, t_ids):
     """All matching pairs of two 1-D id arrays (sort-merge expansion).
 
@@ -374,7 +392,7 @@ class _Executor:
         patterns = bound.astype(np.int64) @ (1 << np.arange(k,
                                                             dtype=np.int64))
         parts, parents = [], []
-        for pattern in np.unique(patterns):
+        for pattern in _sorted_unique(patterns):
             rows = np.nonzero(patterns == pattern)[0]
             batch = regs[rows]
             bound_cols = [i for i in range(k) if (int(pattern) >> i) & 1]
@@ -734,14 +752,14 @@ def distinct_projection(matrix, columns: Iterable[int]
         return []
     sub = matrix[:, list(columns)]
     if sub.shape[1] == 1:
-        return [(code,) for code in np.unique(sub[:, 0]).tolist()]
+        return [(code,) for code in _sorted_unique(sub[:, 0]).tolist()]
     keys, _ = _pack_rows(sub, sub[:0])
     if keys is not None:
         # Packing preserves lexicographic order, so key order = row order.
         _, first = np.unique(keys, return_index=True)
         distinct = sub[first]
     else:
-        distinct = np.unique(sub, axis=0)
+        distinct = _sorted_unique(sub)
     return list(map(tuple, distinct.tolist()))
 
 

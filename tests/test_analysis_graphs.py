@@ -8,8 +8,11 @@ from repro.analysis import (
 from repro.core import ServiceSemantics
 from repro.gallery import (
     audit_system, example_41, example_42, example_43, example_52,
-    example_53, request_system, student_registry)
-from repro.workloads import chain_dcds
+    example_53, library_system, request_system, student_registry,
+    theorem_45_witness)
+from repro.workloads import (
+    chain_dcds, commitment_blowup_dcds, conveyor_dcds, lattice_dcds,
+    random_dcds, warehouse_dcds)
 
 
 class TestFigure5:
@@ -152,6 +155,156 @@ class TestStudentRegistry:
         graph = dataflow_graph(students)
         assert not graph.is_gr_acyclic()
         assert graph.is_gr_plus_acyclic()
+
+
+SWEEP_SPECS = {
+    "example_41": example_41,
+    "example_42": example_42,
+    "example_43": example_43,
+    "example_52": example_52,
+    "example_53": example_53,
+    "theorem_45_witness": theorem_45_witness,
+    "library_system": library_system,
+    "request_system": request_system,
+    "request_system_slim": lambda: request_system(slim=True),
+    "audit_system": audit_system,
+    "audit_system_slim": lambda: audit_system(slim=True),
+    "student_registry": student_registry,
+    "chain_dcds_3": lambda: chain_dcds(3),
+    "warehouse_dcds_1": lambda: warehouse_dcds(1, payload=8),
+    "lattice_dcds_2": lambda: lattice_dcds(2),
+    "conveyor_dcds_2": lambda: conveyor_dcds(2),
+    "commitment_blowup_3": lambda: commitment_blowup_dcds(3),
+}
+for _shape in ("free", "weakly-acyclic", "gr-acyclic"):
+    for _seed in range(12):
+        SWEEP_SPECS[f"random_{_shape}_{_seed}"] = (
+            lambda seed=_seed, shape=_shape: random_dcds(
+                seed, n_relations=4, n_actions=3, shape=shape))
+
+#: Per spec: (is_weakly_acyclic, violating_special_edge, the nonzero ranks
+#: sorted (None when not weakly acyclic), is_gr_acyclic, the edge id of
+#: gr_violation, DataflowGraph.is_gr_plus_acyclic). Recorded with the
+#: networkx-based checks; the stdlib digraph must reproduce every entry.
+SWEEP_EXPECTED = {
+    'example_41':
+        (True, None, [(('Q', 0), 1), (('Q', 1), 1)], True, None, True),
+    'example_42':
+        (True, None, [(('Q', 0), 1), (('Q', 1), 1)], True, None, True),
+    'example_43': (False, (('R', 0), ('Q', 0)), None, True, None, True),
+    'example_52': (True, None, [(('Q', 0), 1)], False, 1, False),
+    'example_53': (False, (('R', 0), ('R', 0)), None, False, 0, False),
+    'theorem_45_witness': (True, None, [], True, None, True),
+    'library_system': (True, None, [], True, None, True),
+    'request_system': (True, None, [], False, 1, True),
+    'request_system_slim': (True, None, [], False, 1, True),
+    'audit_system':
+        (True, None, [(('Flight', 6), 1), (('Hotel', 6), 1)], False, 10, True),
+    'audit_system_slim':
+        (True, None, [(('Flight', 2), 1), (('Hotel', 2), 1)], False, 6, True),
+    'student_registry': (True, None, [(('Grad', 1), 1)], False, 1, True),
+    'chain_dcds_3':
+        (True, None, [
+            (('L1', 0), 1), (('L2', 0), 2), (('L3', 0), 3)], True, None, True),
+    'warehouse_dcds_1': (True, None, [], True, None, True),
+    'lattice_dcds_2': (True, None, [], True, None, True),
+    'conveyor_dcds_2': (True, None, [], True, None, True),
+    'commitment_blowup_3':
+        (True, None, [
+            (('Out0', 0), 1), (('Out1', 0), 1), (('Out2', 0), 1)],
+            True, None, True),
+    'random_free_0': (False, (('R0', 1), ('R2', 0)), None, False, 0, False),
+    'random_free_1': (False, (('R0', 0), ('R0', 0)), None, False, 1, False),
+    'random_free_2': (False, (('R1', 0), ('R1', 0)), None, False, 4, False),
+    'random_free_3': (False, (('R3', 1), ('R3', 0)), None, False, 6, False),
+    'random_free_4': (False, (('R2', 0), ('R2', 0)), None, False, 6, False),
+    'random_free_5':
+        (True, None, [
+            (('R0', 0), 2), (('R0', 1), 1), (('R1', 0), 1), (('R3', 0), 1)],
+            True, None, True),
+    'random_free_6': (False, (('R2', 0), ('R0', 0)), None, False, 8, False),
+    'random_free_7': (False, (('R1', 0), ('R1', 0)), None, False, 4, False),
+    'random_free_8':
+        (True, None, [(('R0', 0), 1), (('R1', 0), 1)], False, 5, False),
+    'random_free_9': (False, (('R0', 0), ('R0', 0)), None, False, 0, False),
+    'random_free_10':
+        (True, None, [
+            (('R0', 0), 1), (('R1', 0), 1), (('R2', 0), 1)], False, 2, False),
+    'random_free_11': (True, None, [(('R1', 0), 1)], True, None, True),
+    'random_weakly-acyclic_0':
+        (True, None, [
+            (('R2', 0), 1), (('R3', 0), 2), (('R3', 1), 2)], False, 0, True),
+    'random_weakly-acyclic_1':
+        (True, None, [(('R3', 0), 1)], True, None, True),
+    'random_weakly-acyclic_2':
+        (True, None, [(('R2', 0), 1)], True, None, True),
+    'random_weakly-acyclic_3':
+        (True, None, [
+            (('R1', 0), 1), (('R3', 0), 1), (('R3', 1), 1)], True, None, True),
+    'random_weakly-acyclic_4':
+        (True, None, [(('R3', 0), 1)], True, None, True),
+    'random_weakly-acyclic_5':
+        (True, None, [
+            (('R1', 0), 1), (('R2', 0), 2), (('R3', 0), 3)], True, None, True),
+    'random_weakly-acyclic_6': (True, None, [(('R3', 0), 1)], False, 5, False),
+    'random_weakly-acyclic_7':
+        (True, None, [(('R2', 0), 1)], True, None, True),
+    'random_weakly-acyclic_8': (True, None, [], True, None, True),
+    'random_weakly-acyclic_9':
+        (True, None, [
+            (('R1', 0), 1), (('R2', 0), 2), (('R3', 0), 2)], True, None, True),
+    'random_weakly-acyclic_10': (True, None, [], True, None, True),
+    'random_weakly-acyclic_11':
+        (True, None, [(('R3', 0), 1)], True, None, True),
+    'random_gr-acyclic_0': (True, None, [(('R3', 0), 1)], True, None, True),
+    'random_gr-acyclic_1': (True, None, [(('R2', 0), 1)], True, None, True),
+    'random_gr-acyclic_2': (True, None, [(('R2', 0), 1)], True, None, True),
+    'random_gr-acyclic_3': (True, None, [(('R2', 0), 1)], True, None, True),
+    'random_gr-acyclic_4':
+        (True, None, [
+            (('R2', 0), 1), (('R3', 0), 1), (('R3', 1), 1)], True, None, True),
+    'random_gr-acyclic_5':
+        (True, None, [(('R2', 0), 1), (('R3', 0), 2)], True, None, True),
+    'random_gr-acyclic_6': (True, None, [(('R3', 0), 1)], True, None, True),
+    'random_gr-acyclic_7': (True, None, [(('R2', 0), 1)], True, None, True),
+    'random_gr-acyclic_8': (True, None, [], True, None, True),
+    'random_gr-acyclic_9':
+        (True, None, [(('R2', 0), 1), (('R3', 0), 2)], True, None, True),
+    'random_gr-acyclic_10':
+        (True, None, [(('R2', 0), 1), (('R3', 0), 1)], True, None, True),
+    'random_gr-acyclic_11': (True, None, [], True, None, True),
+}
+
+
+def _static_summary(dcds):
+    dependency = dependency_graph(dcds)
+    weakly_acyclic = dependency.is_weakly_acyclic()
+    ranks = None
+    if weakly_acyclic:
+        all_ranks = dependency.ranks()
+        assert set(all_ranks) == dependency.nodes
+        ranks = sorted((node, rank) for node, rank in all_ranks.items()
+                       if rank)
+    dataflow = dataflow_graph(dcds)
+    violation = dataflow.gr_violation()
+    return (weakly_acyclic, dependency.violating_special_edge(), ranks,
+            violation is None,
+            None if violation is None else violation.edge_id,
+            dataflow.is_gr_plus_acyclic())
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SPECS))
+def test_static_checks_match_recorded_verdicts(name):
+    assert _static_summary(SWEEP_SPECS[name]()) == SWEEP_EXPECTED[name]
+
+
+def test_sweep_covers_every_verdict():
+    verdicts = set()
+    for weak, _, _, gr, _, gr_plus in SWEEP_EXPECTED.values():
+        verdicts.add((weak, gr, gr_plus))
+    assert {(True, True, True), (False, True, True), (True, False, True),
+            (True, False, False), (False, False, False)} <= verdicts
+    assert set(SWEEP_EXPECTED) == set(SWEEP_SPECS)
 
 
 class TestPositiveApproximate:

@@ -1,7 +1,13 @@
 """The verify() pipeline: Table 1 routing."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro
 from repro import UndecidableFragment, verify
 from repro.core import DCDS, DCDSBuilder, ServiceSemantics
 from repro.gallery import (
@@ -10,6 +16,7 @@ from repro.gallery.student import (
     property_eventual_graduation_mu_la, property_eventual_graduation_mu_lp,
     property_no_student_while_idle)
 from repro.mucalc import Fragment, parse_mu
+from repro.relational.vector import numpy_available
 
 
 class TestDeterministicRoute:
@@ -88,6 +95,70 @@ class TestNoSignatureLookup:
         report = verify(build(), formula())
         assert report.route == route
         assert report.holds
+
+
+def _run_isolated(script: str, env_drop=()) -> str:
+    """Run ``script`` in a fresh interpreter that cannot import networkx
+    (``sys.modules["networkx"] = None`` makes every import of it raise)."""
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {key: value for key, value in os.environ.items()
+           if key not in env_drop}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    prelude = 'import sys\nsys.modules["networkx"] = None\n'
+    result = subprocess.run(
+        [sys.executable, "-c", prelude + textwrap.dedent(script)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+class TestDependencyFreeCore:
+    """The core imports and verifies with networkx unimportable, and the
+    vectorised joins never pull in ``numpy.ma``."""
+
+    def test_verify_without_networkx(self):
+        out = _run_isolated("""
+            import repro, repro.pipeline
+            from repro import verify
+            from repro.gallery.library import (
+                library_system, property_loans_returnable)
+            from repro.mucalc import parse_mu
+            from repro.workloads import warehouse_dcds
+
+            det = verify(warehouse_dcds(1, payload=8), parse_mu(
+                "nu X. ((A t. live(t) & At(t, 'c4') -> At(t, 'c3')) "
+                "& [-] X)"))
+            nondet = verify(library_system(2, 1), property_loans_returnable())
+            print(det.route, det.holds, det.static_condition)
+            print(nondet.route, nondet.holds, nondet.static_condition)
+        """)
+        assert out.split("\n")[:2] == [
+            "det-abstraction True weakly-acyclic", "rcycl True gr-acyclic"]
+
+    def test_vector_joins_do_not_import_numpy_ma(self):
+        if not numpy_available():
+            pytest.skip("numpy is not installed")
+        out = _run_isolated("""
+            import sys
+            from repro import verify
+            from repro.mucalc import parse_mu
+            from repro.relational import vector
+            from repro.workloads import lattice_dcds
+
+            calls = []
+            original = vector._Executor._atom_bindings
+
+            def counted(self, *args):
+                calls.append(1)
+                return original(self, *args)
+
+            vector._Executor._atom_bindings = counted
+            report = verify(lattice_dcds(1), parse_mu(
+                "mu X. ((E x. live(x) & Tri(x) & Far(x)) | <-> X)"))
+            print(report.holds, len(calls) > 0, "numpy.ma" in sys.modules)
+        """, env_drop=("REPRO_NO_KERNEL", "REPRO_NO_VECTOR"))
+        assert out.split() == ["True", "True", "False"]
 
 
 class TestNondeterministicRoute:

@@ -350,3 +350,21 @@ class TestBackendSelection:
         assert vector.binding_matrix(plan, coded, domain,
                                      stats=stats) is None
         assert stats["fallbacks"] == 1
+
+    @vector_live
+    @pytest.mark.parametrize("high", [5, 1 << 40], ids=["packed", "wide"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_distinct_projection_is_sorted_and_deduplicated(self, high,
+                                                            width):
+        # Two columns of codes near 2**40 overflow the int64 row packing
+        # and take the lexsort path; every path must return the distinct
+        # rows in lexicographic order.
+        np = vector.require_numpy()
+        rng = np.random.default_rng(width)
+        matrix = rng.integers(-1, 4, size=(60, 4)).astype(np.int64)
+        matrix[::3, 0] = high
+        matrix[1::3, 2] = high
+        columns = [0, 2, 3][:width]
+        expected = sorted({tuple(int(code) for code in row)
+                           for row in matrix[:, columns]})
+        assert vector.distinct_projection(matrix, columns) == expected
