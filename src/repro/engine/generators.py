@@ -289,9 +289,9 @@ class RcyclGenerator(SuccessorGenerator):
         self.max_iterations = max_iterations
         self.recycle = recycle
         self.initial_adom = set(dcds.data.initial_adom)
-        self.known_constants = set(dcds.known_constants())
-        self.used_values: Set[Any] = set(self.initial_adom) \
-            | self.known_constants
+        #: ADOM(I0) ∪ the known constants: in every evaluation range.
+        self.base_values = self.initial_adom | set(dcds.known_constants())
+        self.used_values: Set[Any] = set(self.base_values)
         self.visited: Set[tuple] = set()
         self.iterations = 0
         self.minted_total = 0
@@ -314,12 +314,11 @@ class RcyclGenerator(SuccessorGenerator):
             index += 1
         return minted
 
-    def _candidates(self, instance: Instance, n_calls: int) -> List[Any]:
+    def _candidates(self, excluded: Set[Any], n_calls: int) -> List[Any]:
+        """``excluded`` is ``ADOM(I0) ∪ ADOM(I)`` of the expanded state."""
         if self.recycle:
             # RecyclableValues := UsedValues − (ADOM(I0) ∪ ADOM(I))
-            recyclable = sorted_values(
-                self.used_values
-                - (self.initial_adom | set(instance.active_domain())))
+            recyclable = sorted_values(self.used_values - excluded)
             if len(recyclable) >= n_calls:
                 return recyclable[:n_calls]  # recycled values
         minted = self._mint_fresh(n_calls)  # fresh values
@@ -332,8 +331,13 @@ class RcyclGenerator(SuccessorGenerator):
 
     def successors(self, instance: Instance) -> Iterator[Successor]:
         dcds = self.dcds
+        # Per-state parts of the candidate sets and evaluation ranges,
+        # built on the first call-bearing move; used_values is read per
+        # move, since on_new_state grows it between moves.
+        range_base = excluded = None
         for action, sigma in enabled_moves(dcds, instance):
-            key = (instance, action.name, sigma_key(sigma))
+            sigma_text = sigma_key(sigma)
+            key = (instance, action.name, sigma_text)
             if key in self.visited:
                 continue
             self.visited.add(key)
@@ -347,13 +351,17 @@ class RcyclGenerator(SuccessorGenerator):
             calls = calls_of(pending)
             evaluation_range: Sequence[Any] = ()
             if calls:  # a call-free step has the one empty evaluation
-                candidates = self._candidates(instance, len(calls))
+                if range_base is None:
+                    range_base = self.base_values.union(
+                        instance.active_domain())
+                    excluded = self.initial_adom.union(
+                        instance.active_domain())
+                candidates = self._candidates(excluded, len(calls))
                 evaluation_range = sorted_values(
-                    self.initial_adom | self.known_constants
-                    | set(instance.active_domain()) | set(candidates))
+                    range_base.union(candidates))
 
             label = action.name if not sigma else \
-                f"{action.name}[{sigma_key(sigma)}]"
+                f"{action.name}[{sigma_text}]"
             for combo in product(evaluation_range, repeat=len(calls)):
                 evaluation = dict(zip(calls, combo))
                 successor = evaluate_calls(dcds, pending, evaluation)

@@ -144,7 +144,8 @@ class CodedInstance:
     """
 
     __slots__ = ("by_relation", "_indexes", "_adom", "_holds_calls",
-                 "_domains", "_fact_set", "_sets", "_columns", "_vector")
+                 "_domains", "_fact_set", "_sets", "_columns", "_vector",
+                 "block_ids")
 
     def __init__(self, by_relation: Dict[int, Tuple[Tuple[int, ...], ...]]):
         # Tuples sorted per relation: deterministic iteration for any
@@ -165,6 +166,9 @@ class CodedInstance:
         # materialized — a fresh CodedInstance is built per instance.
         self._columns: Optional[dict] = None
         self._vector: Optional[dict] = None
+        #: Relation code -> the kernel's interned id of its tuple array
+        #: (filled by ``RelationalKernel._read_key``).
+        self.block_ids: Dict[int, int] = {}
 
     @classmethod
     def from_coded_facts(cls, facts: Iterable[CodedFact]) -> "CodedInstance":

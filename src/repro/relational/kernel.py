@@ -28,7 +28,6 @@ processes by snapshot replay.
 from __future__ import annotations
 
 import weakref
-from collections import OrderedDict
 from typing import (
     Any, Dict, FrozenSet, Iterable, List, Optional, Tuple)
 
@@ -313,6 +312,15 @@ class RelationalKernel:
         #: it, which invalidates every one of them at once.
         self._token = object()
         self._eval_memo: Dict[tuple, Tuple[bool, Optional[Instance]]] = {}
+        #: Run-wide grounding memo: ``(rule or sigma context, read key)``
+        #: -> result, shared by every instance that agrees on what the
+        #: context's plan reads (see _read_key).
+        self._shared: Dict[tuple, Any] = {}
+        #: Relation tuple arrays -> block id, the read keys' currency.
+        #: Ids come from a counter and are never reused: an evicted block
+        #: interned again gets a new id, so no two blocks share one.
+        self._blocks: Dict[tuple, int] = {}
+        self._next_block = 0
         self._successor_memos: Dict[Any, dict] = {}
         self._canonical_memo: Dict[tuple, Dict[Any, Fresh]] = {}
         self.stats: Dict[str, int] = {
@@ -343,7 +351,7 @@ class RelationalKernel:
             "warmed_entries": 0, "unique_groups": 0, "dedup_hits": 0,
             "fallbacks": 0,
         }
-        #: Per-plan read signature memo of the batch tier (plans are
+        #: Per-plan read signature memo of the read keys (plans are
         #: kernel-owned, ids stable for the kernel's life; survives
         #: clear_caches like the plans themselves).
         self._plan_reads_memo: Dict[int, Tuple[tuple, bool]] = {}
@@ -409,6 +417,8 @@ class RelationalKernel:
         self._instances.clear()
         self._token = object()
         self._eval_memo.clear()
+        self._shared.clear()
+        self._blocks.clear()
         self._successor_memos.clear()
         self._canonical_memo.clear()
         for effect_context in self._effects.values():
@@ -452,6 +462,8 @@ class RelationalKernel:
         wrap = self._budget_memo
         self._instances = wrap(self._instances)
         self._eval_memo = wrap(self._eval_memo)
+        self._shared = wrap(self._shared)
+        self._blocks = wrap(self._blocks)
         self._canonical_memo = wrap(self._canonical_memo)
         self._successor_memos = {
             key: wrap(memo)
@@ -473,6 +485,8 @@ class RelationalKernel:
 
         self._instances = unwrap(self._instances)
         self._eval_memo = unwrap(self._eval_memo)
+        self._shared = unwrap(self._shared)
+        self._blocks = unwrap(self._blocks)
         self._canonical_memo = unwrap(self._canonical_memo)
         self._successor_memos = {
             key: unwrap(memo)
@@ -650,7 +664,13 @@ class RelationalKernel:
         if found is not None:
             return found
         self.stats["legal_evals"] += 1
-        found = results[context] = self._legal_eval(context, params, instance)
+        key = (context, self._read_key(context.plan, instance,
+                                       self.initial_adom_codes))
+        found = self._shared.get(key)
+        if found is None:
+            found = self._shared[key] = self._legal_eval(
+                context, params, instance)
+        results[context] = found
         return found
 
     def _legal_eval(self, context: _RuleContext, params: Tuple[Param, ...],
@@ -718,8 +738,13 @@ class RelationalKernel:
         if found is not None:
             return found
         self.stats["effect_evals"] += 1
-        found = results[sigma_context] = self._effect_eval(
-            context, sigma_context, instance)
+        key = (sigma_context, self._read_key(context.body, instance,
+                                             sigma_context.extra))
+        found = self._shared.get(key)
+        if found is None:
+            found = self._shared[key] = self._effect_eval(
+                context, sigma_context, instance)
+        results[sigma_context] = found
         return found
 
     def _effect_eval(self, context: _EffectContext,
@@ -967,6 +992,38 @@ class RelationalKernel:
             self._plan_reads_memo[id(plan)] = found
         return found
 
+    def _read_key(self, plan: CompiledQuery, instance: Instance,
+                  extra: FrozenSet[int]) -> tuple:
+        """What ``plan``'s answer over ``instance`` is a function of
+        (:meth:`_plan_reads`): the block id of every relation it reads
+        and, only when it reads it, the evaluation domain.
+
+        Block ids intern ``CodedInstance.by_relation`` arrays, which are
+        sorted, so equal contents get one id whatever the interning
+        history; each coded instance caches its own ids.
+        """
+        relations, uses_domain = self._plan_reads(plan)
+        coded = self.encode_instance(instance)
+        ids = coded.block_ids
+        key = []
+        for relation in relations:
+            found = ids.get(relation)
+            if found is None:
+                found = ids[relation] = self._block_id(
+                    coded.by_relation.get(relation, ()))
+            key.append(found)
+        if uses_domain:
+            key.append(plan.domain(coded, self.table, extra))
+        return tuple(key)
+
+    def _block_id(self, block: tuple) -> int:
+        """The interned id of one relation's sorted tuple array."""
+        found = self._blocks.get(block)
+        if found is None:
+            found = self._blocks[block] = self._next_block
+            self._next_block += 1
+        return found
+
     def _warm_plan(self, plan: CompiledQuery, regs: Optional[List[int]],
                    extra: FrozenSet[int], context,
                    instances: Iterable[Instance], convert, evaluate,
@@ -974,14 +1031,11 @@ class RelationalKernel:
         """Fill ``context``'s grounding result of every instance that has
         none yet, in one pass.
 
-        Instances are grouped by a cross-state dedup key: frontier
-        siblings that agree on the plan's read relations (as fact sets —
-        block tuple order is interning-history dependent) and, only when
-        the plan reads it (:meth:`_plan_reads`), on the evaluation domain
-        share one evaluation. Domains are computed for the group keys of
-        such plans and for the representatives, never for the other
-        members of a group. One representative per group is evaluated —
-        all representatives in a single
+        Instances are grouped by their read key (:meth:`_read_key`), so
+        frontier siblings that agree on what the plan reads share one
+        result. A group whose key is already in the run-wide memo is
+        served from it. One representative per remaining group is
+        evaluated — all of them in a single
         :func:`vector.binding_matrix_batch` call when the backend
         cooperates (``convert`` maps each per-group answer split to the
         result), else per representative via ``evaluate`` (the same
@@ -998,41 +1052,45 @@ class RelationalKernel:
                 if context not in self._grounded(instance)]
         if not todo:
             return
-        relations, uses_domain = self._plan_reads(plan)
-        table = self.table
-        groups: "OrderedDict[tuple, List[Instance]]" = OrderedDict()
+        shared = self._shared
+        groups: Dict[tuple, List[Instance]] = {}
         for instance in todo:
-            coded = self.encode_instance(instance)
-            key = tuple(frozenset(coded.by_relation.get(relation, ()))
-                        for relation in relations)
-            if uses_domain:
-                key += (plan.domain(coded, table, extra),)
-            members = groups.get(key)
-            if members is None:
-                groups[key] = [instance]
+            groups.setdefault((context, self._read_key(plan, instance, extra)),
+                              []).append(instance)
+        results: Dict[tuple, Any] = {}
+        keys = []
+        for key in groups:
+            found = shared.get(key)
+            if found is None:
+                keys.append(key)
             else:
-                members.append(instance)
-        keys = list(groups)
-        self.batch_stats["unique_groups"] += len(keys)
-        representatives = [self.encode_instance(groups[key][0])
-                           for key in keys]
-        matrix = vector.binding_matrix_batch(
-            plan, representatives,
-            [plan.domain(coded, table, extra) for coded in representatives],
-            regs=regs, stats=self.vector_stats)
-        if matrix is not None:
-            splits = vector.split_by_group(matrix, len(keys), plan.n_slots)
-            results = [convert(split) for split in splits]
-        else:
-            self.batch_stats["fallbacks"] += 1
-            results = [evaluate(groups[key][0]) for key in keys]
-        for key, result in zip(keys, results):
-            members = groups[key]
+                results[key] = found
+        if keys:
+            self.batch_stats["unique_groups"] += len(keys)
+            representatives = [self.encode_instance(groups[key][0])
+                               for key in keys]
+            table = self.table
+            matrix = vector.binding_matrix_batch(
+                plan, representatives,
+                [plan.domain(coded, table, extra)
+                 for coded in representatives],
+                regs=regs, stats=self.vector_stats)
+            if matrix is not None:
+                splits = vector.split_by_group(matrix, len(keys),
+                                               plan.n_slots)
+                computed = [convert(split) for split in splits]
+            else:
+                self.batch_stats["fallbacks"] += 1
+                computed = [evaluate(groups[key][0]) for key in keys]
+            for key, result in zip(keys, computed):
+                results[key] = shared[key] = result
+        for key, members in groups.items():
+            result = results[key]
             for member in members:
-                self.stats[stat_key] += 1
                 self._grounded(member)[context] = result
-            self.batch_stats["warmed_entries"] += len(members)
-            self.batch_stats["dedup_hits"] += len(members) - 1
+        self.stats[stat_key] += len(todo)
+        self.batch_stats["warmed_entries"] += len(todo)
+        self.batch_stats["dedup_hits"] += len(todo) - len(keys)
 
     def warm_legal_substitutions(self, rule, params: Tuple[Param, ...],
                                  instances: Iterable[Instance]) -> None:

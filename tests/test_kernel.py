@@ -36,7 +36,8 @@ from repro.relational.values import Fresh, ServiceCall, Var
 from repro.semantics import build_det_abstraction, rcycl
 from repro.semantics.concrete import explore_concrete
 from repro.workloads import (
-    chain_dcds, commitment_blowup_dcds, random_dcds, warehouse_dcds)
+    chain_dcds, commitment_blowup_dcds, lattice_dcds, random_dcds,
+    warehouse_dcds)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -522,6 +523,166 @@ class TestFrontierRelease:
         legal_evals = kernel_for(dcds).stats["legal_evals"]
         assert legal_evals == len(dcds.process.rules) * len(instances)
         assert legal_evals == expected
+
+
+def _content_key(kernel, plan, instance, extra) -> tuple:
+    """What a plan's answer depends on, spelled out by contents (not by
+    block ids): the fact sets of the relations it reads, plus the
+    evaluation domain when it reads that."""
+    relations, uses_domain = kernel._plan_reads(plan)
+    coded = kernel.encode_instance(instance)
+    key = tuple(frozenset(coded.by_relation.get(relation, ()))
+                for relation in relations)
+    if uses_domain:
+        key += (plan.domain(coded, kernel.table, extra),)
+    return key
+
+
+def _assert_same_build(reference, other):
+    assert reference.states == other.states
+    assert edge_multiset(reference) == edge_multiset(other)
+    assert {s: reference.db(s) for s in reference.states} \
+        == {s: other.db(s) for s in other.states}
+    assert reference.truncated_states == other.truncated_states
+
+
+SHARED_BUILDS = {
+    "rcycl-library": (lambda: library_system(2, 1), rcycl),
+    "det-lattice": (lambda: lattice_dcds(1),
+                    lambda dcds: build_det_abstraction(dcds, 100000)),
+}
+
+
+@pytest.mark.skipif(bool(os.environ.get("REPRO_NO_KERNEL")),
+                    reason="exercises the kernel itself")
+class TestSharedGrounding:
+    """Each rule and effect is evaluated once per distinct read set, for
+    the whole run; eviction and resets never change what is built."""
+
+    @staticmethod
+    def record_evaluations(monkeypatch) -> dict:
+        """Every real rule/effect evaluation, as (context, contents)."""
+        runs = {"legal": [], "effect": []}
+        legal_eval = RelationalKernel._legal_eval
+        effect_eval = RelationalKernel._effect_eval
+
+        def counted_legal(kernel, context, params, instance):
+            runs["legal"].append((context, _content_key(
+                kernel, context.plan, instance, kernel.initial_adom_codes)))
+            return legal_eval(kernel, context, params, instance)
+
+        def counted_effect(kernel, context, sigma_context, instance):
+            runs["effect"].append((sigma_context, _content_key(
+                kernel, context.body, instance, sigma_context.extra)))
+            return effect_eval(kernel, context, sigma_context, instance)
+
+        monkeypatch.setattr(RelationalKernel, "_legal_eval", counted_legal)
+        monkeypatch.setattr(RelationalKernel, "_effect_eval",
+                            counted_effect)
+        return runs
+
+    @staticmethod
+    def record_evictions(monkeypatch) -> Counter:
+        """Entries shed from the budget-wrapped memo and block interner."""
+        from repro.engine.store import BudgetedDict
+
+        wrapped = {}
+        evicted = Counter()
+        attach = RelationalKernel.attach_memo_budget
+        shed = BudgetedDict._shed
+
+        def attach_and_capture(kernel, budget):
+            attach(kernel, budget)
+            wrapped["memo"] = kernel._shared
+            wrapped["blocks"] = kernel._blocks
+
+        def counted_shed(memo, incoming=0):
+            before = len(memo)
+            shed(memo, incoming)
+            for name, found in wrapped.items():
+                if found is memo:
+                    evicted[name] += before - len(memo)
+
+        monkeypatch.setattr(RelationalKernel, "attach_memo_budget",
+                            attach_and_capture)
+        monkeypatch.setattr(BudgetedDict, "_shed", counted_shed)
+        return evicted
+
+    @pytest.mark.parametrize(
+        "name,legal_evals,effect_evals,legal_reads,effect_reads", [
+            ("rcycl-library", 42, 168, 8, 32),
+            ("det-lattice", 2, 8, 1, 4)])
+    def test_one_evaluation_per_read_set(self, name, legal_evals,
+                                         effect_evals, legal_reads,
+                                         effect_reads, monkeypatch):
+        runs = self.record_evaluations(monkeypatch)
+        factory, build = SHARED_BUILDS[name]
+        dcds = factory()
+        build(dcds)
+        stats = kernel_for(dcds).stats
+        # Per (instance, context) lookups are unchanged...
+        assert stats["legal_evals"] == legal_evals
+        assert stats["effect_evals"] == effect_evals
+        # ...but each distinct read set is evaluated once.
+        assert len(runs["legal"]) == len(set(runs["legal"])) == legal_reads
+        assert len(runs["effect"]) == len(set(runs["effect"])) \
+            == effect_reads
+
+    def test_domain_reading_plans_key_on_the_domain(self, monkeypatch):
+        # ~R($p) reads only R but enumerates the evaluation domain: two
+        # instances that agree on R but not on their active domains must
+        # not share an answer.
+        def spec():
+            builder = DCDSBuilder(name="negated-param", constants={"a"})
+            builder.schema("R/1", "S/1")
+            builder.initial([fact("R", "a"), fact("S", "b")])
+            builder.action("pick(p)", "R(x) ~> R(x)", "S(x) ~> S(x)")
+            builder.rule("~R($p)", "pick")
+            return builder.build(ServiceSemantics.DETERMINISTIC)
+
+        def answers_over(dcds):
+            return [legal_substitutions(
+                dcds, Instance([fact("R", "a"), fact("S", value)]),
+                dcds.process.rules[0]) for value in ("b", "c")]
+
+        found = answers_over(spec())
+        assert found[0] != found[1]
+        monkeypatch.setenv("REPRO_NO_KERNEL", "1")
+        assert found == answers_over(spec())
+
+    def test_budget_evictions_keep_builds_identical(self, monkeypatch):
+        plain = build_det_abstraction(random_dcds(1, shape="free"), 100000)
+        evicted = self.record_evictions(monkeypatch)
+        budgeted = build_det_abstraction(random_dcds(1, shape="free"),
+                                         100000, memory_budget=64 * 1024)
+        assert evicted["memo"] > 0 and evicted["blocks"] > 0
+        _assert_same_build(plain, budgeted)
+
+    def test_evicted_block_ids_are_never_reused(self):
+        kernel = RelationalKernel(chain_dcds(2))
+        first = kernel._block_id(((1, 2),))
+        second = kernel._block_id(((3, 4),))
+        assert kernel._block_id(((1, 2),)) == first
+        del kernel._blocks[((1, 2),)]  # what a budget eviction does
+        # A new block must not take an id still held by a live one.
+        third = kernel._block_id(((5, 6),))
+        assert third not in (first, second)
+        # The evicted block comes back under a new id, too.
+        assert kernel._block_id(((1, 2),)) not in (first, second, third)
+
+    def test_clear_caches_empties_the_memo(self):
+        dcds = commitment_blowup_dcds(2)
+        first = build_det_abstraction(dcds, 100000)
+        kernel = kernel_for(dcds)
+        assert kernel._shared and kernel._blocks
+        clear_kernel_caches()
+        assert not kernel._shared and not kernel._blocks
+        _assert_same_build(first, build_det_abstraction(dcds, 100000))
+
+    def test_rcycl_matches_reference_on_larger_library(self, monkeypatch):
+        kernel_ts = rcycl(library_system(3, 2))
+        monkeypatch.setenv("REPRO_NO_KERNEL", "1")
+        _assert_same_build(kernel_ts, rcycl(library_system(3, 2)))
 
 
 @pytest.mark.skipif(bool(os.environ.get("REPRO_NO_KERNEL")),
